@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
+#include <numeric>
 #include <set>
+#include <type_traits>
 #include <unordered_map>
 
 #include "analysis/dense.hpp"
@@ -22,10 +23,12 @@
 // sums get a fixed association order from the chunk-ordered merge, so the
 // profile is bit-identical at jobs=1 and jobs=N.
 //
-// All passes read the trace through a TraceStore Cursor, never through raw
-// vectors: the analysis chunking above is independent of the store's
-// storage chunking, so the in-memory and spill backends walk identical
-// value sequences and produce byte-identical profiles.
+// Only the map step reads the trace, through a TraceStore Cursor, never
+// through raw vectors: the analysis chunking above is independent of the
+// store's storage chunking, so the in-memory and spill backends walk
+// identical value sequences and produce byte-identical profiles. What the
+// later passes need leaves the map step as each chunk's IoRun; the resolve
+// pass's callbacks are the only other reads, made in ascending row order.
 
 namespace wasp::analysis {
 namespace {
@@ -142,37 +145,48 @@ std::size_t union_size(const std::vector<std::int32_t>& a,
          static_cast<std::size_t>(b.end() - j);
 }
 
-/// K-way heap merge over each chunk's sorted `field` vector. `key(entry)`
-/// orders entries; ties pop in chunk-index order, so `consume(entry)` sees
-/// every key's entries left-to-right across chunks — exactly the order a
-/// chunk-by-chunk fold would feed them in, but each global entry is built
-/// once instead of being re-moved on every fold step.
-template <typename Field, typename KeyFn, typename Consume>
-void kway_merge(std::vector<ChunkState>& parts, Field field, KeyFn key,
-                Consume consume) {
+/// K-way merge of per-chunk sorted sequences: `visit(chunk, j)` sees every
+/// entry in (key, chunk, j) order, where `size(chunk)` is a sequence's
+/// length and `key(chunk, j)` its j-th key. Ties pop in chunk-index order,
+/// so each key's entries arrive left to right across chunks — the order a
+/// chunk-by-chunk fold would feed them in, with every entry visited once.
+/// Sequences overlap mostly near their edges, so the head just popped
+/// keeps draining while it stays ahead of the heap, and most entries cost
+/// one comparison instead of a heap round-trip.
+template <typename SizeFn, typename KeyFn, typename Visit>
+void kway_merge(std::size_t chunks, SizeFn size, KeyFn key, Visit visit) {
+  using Key = std::decay_t<decltype(key(std::size_t{0}, std::size_t{0}))>;
   struct Head {
+    Key k;
     std::size_t chunk;
-    std::size_t pos;
+    std::size_t j;
   };
-  auto vec = [&](std::size_t chunk) -> auto& { return parts[chunk].*field; };
-  auto cmp = [&](const Head& a, const Head& b) {
-    // priority_queue pops the *greatest*, so invert: smallest key first,
-    // then smallest chunk index.
-    const auto& ka = key(vec(a.chunk)[a.pos]);
-    const auto& kb = key(vec(b.chunk)[b.pos]);
-    if (kb < ka) return true;
-    if (ka < kb) return false;
+  // Heap comparator: true when `a` pops after `b`.
+  auto later = [](const Head& a, const Head& b) {
+    if (b.k < a.k) return true;
+    if (a.k < b.k) return false;
     return a.chunk > b.chunk;
   };
-  std::priority_queue<Head, std::vector<Head>, decltype(cmp)> heap(cmp);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (!vec(i).empty()) heap.push({i, 0});
+  std::vector<Head> heap;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    if (size(c) > 0) heap.push_back({key(c, 0), c, 0});
   }
+  std::make_heap(heap.begin(), heap.end(), later);
   while (!heap.empty()) {
-    Head h = heap.top();
-    heap.pop();
-    consume(vec(h.chunk)[h.pos]);
-    if (++h.pos < vec(h.chunk).size()) heap.push(h);
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Head h = heap.back();
+    heap.pop_back();
+    const std::size_t n = size(h.chunk);
+    for (;;) {
+      visit(h.chunk, h.j);
+      if (++h.j == n) break;
+      h.k = key(h.chunk, h.j);
+      if (!heap.empty() && later(h, heap.front())) {
+        heap.push_back(h);
+        std::push_heap(heap.begin(), heap.end(), later);
+        break;
+      }
+    }
   }
 }
 
@@ -183,9 +197,10 @@ std::vector<FileAgg> merge_files(std::vector<ChunkState>& parts) {
   for (const ChunkState& c : parts) widest = std::max(widest, c.files.size());
   out.reserve(widest);
   kway_merge(
-      parts, &ChunkState::files,
-      [](const FileAgg& fa) -> const ScopedFile& { return fa.sf; },
-      [&out](FileAgg& fa) {
+      parts.size(), [&](std::size_t c) { return parts[c].files.size(); },
+      [&](std::size_t c, std::size_t j) { return parts[c].files[j].sf; },
+      [&](std::size_t c, std::size_t j) {
+        FileAgg& fa = parts[c].files[j];
         if (out.empty() || out.back().sf < fa.sf) {
           out.push_back(std::move(fa));
           return;
@@ -218,9 +233,13 @@ std::uint64_t settle_streams(std::vector<ChunkState>& parts) {
   StreamKey prev_key{};
   fs::Bytes prev_end = 0;
   kway_merge(
-      parts, &ChunkState::streams,
-      [](const StreamEntry& e) { return StreamKey{e.sf, e.rank}; },
-      [&](const StreamEntry& e) {
+      parts.size(), [&](std::size_t c) { return parts[c].streams.size(); },
+      [&](std::size_t c, std::size_t j) {
+        const StreamEntry& e = parts[c].streams[j];
+        return StreamKey{e.sf, e.rank};
+      },
+      [&](std::size_t c, std::size_t j) {
+        const StreamEntry& e = parts[c].streams[j];
         const StreamKey k{e.sf, e.rank};
         if (!have_prev || prev_key < k) {
           ++seq_ops;  // stream's first touch across all chunks
@@ -233,6 +252,128 @@ std::uint64_t settle_streams(std::vector<ChunkState>& parts) {
       });
   return seq_ops;
 }
+
+/// Visit every run's rows in (tstart, row) order — what a stable sort of
+/// the whole trace by tstart would give — without sorting: a k-way merge of
+/// the runs' start orders. Ties go to the lower chunk, and within a chunk
+/// by_start is stable.
+template <typename Visit>
+void for_each_by_start(const std::vector<IoRun>& runs, Visit visit) {
+  kway_merge(
+      runs.size(), [&](std::size_t r) { return runs[r].rows(); },
+      [&](std::size_t r, std::size_t j) {
+        return runs[r].tstart[runs[r].start_order(j)];
+      },
+      [&](std::size_t r, std::size_t j) {
+        visit(runs[r], runs[r].start_order(j));
+      });
+}
+
+/// Running union length of [t0, t1] intervals fed in start order — the
+/// sweep union_seconds() runs after its sort. The covered length is an
+/// integer, and ties in t0 may arrive in any order without changing it
+/// (t1 >= t0), so a (tstart, row) feed matches a (tstart, tend) sort.
+struct Coverage {
+  bool open = false;
+  sim::Time lo = 0;
+  sim::Time hi = 0;
+  sim::Time covered = 0;
+
+  void add(sim::Time t0, sim::Time t1) {
+    if (!open) {
+      open = true;
+      lo = t0;
+      hi = t1;
+    } else if (t0 > hi) {
+      covered += hi - lo;
+      lo = t0;
+      hi = t1;
+    } else {
+      hi = std::max(hi, t1);
+    }
+  }
+  double seconds() const {
+    return open ? sim::to_seconds(covered + (hi - lo)) : 0.0;
+  }
+};
+
+/// One app's phase extraction: a sequential sweep over its I/O rows in
+/// (tstart, row) order, closing a phase at every gap wider than `gap`.
+class PhaseSweep {
+ public:
+  PhaseSweep(std::uint16_t app, sim::Time gap) : app_(app), gap_(gap) {}
+
+  std::uint16_t app() const noexcept { return app_; }
+
+  void add(const IoRun& run, std::size_t k) {
+    const sim::Time t0 = run.tstart[k];
+    const sim::Time t1 = run.tend[k];
+    const trace::Op op = run.op[k];
+    const std::uint32_t cnt = run.count[k];
+    const fs::Bytes sz = run.size[k];
+    if (!open_ || t0 > phase_end_ + gap_) {
+      flush();
+      cur_ = Phase{};
+      cur_.app = app_;
+      cur_.t0 = t0;
+      cur_.t1 = t1;
+      open_ = true;
+      phase_end_ = t1;
+    }
+    cur_.t1 = std::max(cur_.t1, t1);
+    phase_end_ = std::max(phase_end_, t1);
+    add_op(cur_.ops, op, cnt, sz * static_cast<fs::Bytes>(cnt),
+           sim::to_seconds(t1 - t0));
+    if (trace::is_data(op)) {
+      size_counts_[sz] += cnt;
+    }
+    ranks_.insert(run.rank[k]);
+  }
+
+  /// Close the open phase (if any) and hand back every phase, in order.
+  std::vector<Phase> finish() {
+    flush();
+    return std::move(out_);
+  }
+
+ private:
+  void flush() {
+    if (!open_) return;
+    // The size-count map only feeds the dominant-size pick, which scans
+    // sizes ascending — sorting the surviving keys here reproduces an
+    // ordered map's iteration exactly, without its per-row tree walks.
+    fs::Bytes dom = 0;
+    std::uint64_t dom_n = 0;
+    auto sizes = size_counts_.items();
+    std::sort(sizes.begin(), sizes.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [sz, n] : sizes) {
+      if (n > dom_n && sz > 0) {
+        dom_n = n;
+        dom = sz;
+      }
+    }
+    cur_.dominant_size = dom;
+    cur_.ops_per_rank =
+        ranks_.empty() ? 0.0
+                       : static_cast<double>(cur_.ops.total_ops()) /
+                             static_cast<double>(ranks_.size());
+    out_.push_back(cur_);
+    size_counts_.clear();
+    ranks_.clear();
+    open_ = false;
+  }
+
+  std::uint16_t app_;
+  sim::Time gap_;
+  std::vector<Phase> out_;
+  Phase cur_;
+  // Dense per-phase state, cleared (capacity kept) at each flush.
+  dense::FlatMap64<std::uint64_t> size_counts_;
+  dense::IdSet ranks_;
+  bool open_ = false;
+  sim::Time phase_end_ = 0;
+};
 
 }  // namespace
 
@@ -288,24 +429,10 @@ const Phase* WorkloadProfile::first_phase(std::uint16_t app) const {
 
 double Analyzer::union_seconds(
     std::vector<std::pair<sim::Time, sim::Time>> iv) {
-  if (iv.empty()) return 0.0;
-  // Traces append in retire order, so interval lists are often already
-  // start-ordered; the linear check dodges the n-log-n sort when so.
   if (!std::is_sorted(iv.begin(), iv.end())) std::sort(iv.begin(), iv.end());
-  sim::Time covered = 0;
-  sim::Time cur_lo = iv[0].first;
-  sim::Time cur_hi = iv[0].second;
-  for (std::size_t i = 1; i < iv.size(); ++i) {
-    if (iv[i].first > cur_hi) {
-      covered += cur_hi - cur_lo;
-      cur_lo = iv[i].first;
-      cur_hi = iv[i].second;
-    } else {
-      cur_hi = std::max(cur_hi, iv[i].second);
-    }
-  }
-  covered += cur_hi - cur_lo;
-  return sim::to_seconds(covered);
+  Coverage c;
+  for (const auto& [t0, t1] : iv) c.add(t0, t1);
+  return c.seconds();
 }
 
 TraceInput tracer_input(const trace::Tracer& tracer, const TraceStore* store) {
@@ -426,36 +553,14 @@ WorkloadProfile Analyzer::analyze_store(const TraceStore& store,
   std::uint64_t seq_ops = 0;
   std::uint64_t pattern_ops = 0;
   std::vector<std::pair<fs::Bytes, std::uint64_t>> size_counts_global;
-  std::vector<Interval> io_intervals;
-  std::vector<std::vector<Interval>> read_iv(p.read_hist.num_buckets());
-  std::vector<std::vector<Interval>> write_iv(p.write_hist.num_buckets());
-  std::map<std::uint16_t, std::vector<std::size_t>> io_by_app;
+  // Each chunk's I/O rows, kept in chunk-index order for the phase, union
+  // and timeline passes — they never go back to the store.
+  std::vector<IoRun> runs;
+  runs.reserve(parts.size());
 
   {
   WASP_OBS_SPAN("analyze.merge");
   obs::TimerGuard t(om.merge_ns);
-  // Size the interval/row-list concatenations exactly, so the appends below
-  // never reallocate mid-merge.
-  {
-    std::size_t n_io = 0;
-    std::vector<std::size_t> n_read(read_iv.size(), 0);
-    std::vector<std::size_t> n_write(write_iv.size(), 0);
-    std::map<std::uint16_t, std::size_t> n_by_app;
-    for (const ChunkState& c : parts) {
-      n_io += c.io_intervals.size();
-      for (std::size_t b = 0; b < read_iv.size(); ++b) {
-        n_read[b] += c.read_iv[b].size();
-        n_write[b] += c.write_iv[b].size();
-      }
-      for (const auto& [aid, idx] : c.io_by_app) n_by_app[aid] += idx.size();
-    }
-    io_intervals.reserve(n_io);
-    for (std::size_t b = 0; b < read_iv.size(); ++b) {
-      read_iv[b].reserve(n_read[b]);
-      write_iv[b].reserve(n_write[b]);
-    }
-    for (const auto& [aid, n] : n_by_app) io_by_app[aid].reserve(n);
-  }
   for (ChunkState& c : parts) {
     job_t0 = std::min(job_t0, c.job_t0);
     job_t1 = std::max(job_t1, c.job_t1);
@@ -482,20 +587,9 @@ WorkloadProfile Analyzer::analyze_store(const TraceStore& store,
     pattern_ops += c.pattern_ops;
     merge_sorted(size_counts_global, std::move(c.size_counts),
                  [](std::uint64_t& g, std::uint64_t n) { g += n; });
-    io_intervals.insert(io_intervals.end(), c.io_intervals.begin(),
-                        c.io_intervals.end());
     p.read_hist.merge(c.read_hist);
     p.write_hist.merge(c.write_hist);
-    for (std::size_t b = 0; b < read_iv.size(); ++b) {
-      read_iv[b].insert(read_iv[b].end(), c.read_iv[b].begin(),
-                        c.read_iv[b].end());
-      write_iv[b].insert(write_iv[b].end(), c.write_iv[b].begin(),
-                         c.write_iv[b].end());
-    }
-    for (auto& [aid, idx] : c.io_by_app) {
-      auto& dst = io_by_app[aid];
-      dst.insert(dst.end(), idx.begin(), idx.end());
-    }
+    runs.push_back(std::move(c.io));
   }
   // The two ScopedFile-keyed reductions go through k-way heap merges over
   // the chunks' sorted vectors (entries per key still combine in
@@ -511,10 +605,23 @@ WorkloadProfile Analyzer::analyze_store(const TraceStore& store,
   obs::TimerGuard t(om.resolve_ns);
   // Resolve per-file paths and sizes from each file's first record — these
   // callbacks may touch lazily-built filesystem state, so they run here,
-  // serially, not in the chunk workers.
-  for (FileAgg& fa : files) {
-    fa.stats.path = input.path_at(fa.first_row);
-    fa.stats.size = std::max(fa.stats.size, input.size_at(fa.first_row));
+  // serially, not in the chunk workers. Files are visited grouped by the
+  // storage chunk holding their first row, chunks ascending: that walks a
+  // spill store front to back, loading each chunk at most once, and keeps
+  // ScopedFile order (the callbacks' own table order) inside each chunk.
+  {
+    const std::size_t rows_per_chunk = store.chunk_rows();
+    std::vector<std::size_t> next(store.num_chunks() + 1, 0);
+    for (const FileAgg& fa : files) ++next[fa.first_row / rows_per_chunk + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    std::vector<FileAgg*> by_chunk(files.size());
+    for (FileAgg& fa : files) {
+      by_chunk[next[fa.first_row / rows_per_chunk]++] = &fa;
+    }
+    for (FileAgg* fa : by_chunk) {
+      fa->stats.path = input.path_at(fa->first_row);
+      fa->stats.size = std::max(fa->stats.size, input.size_at(fa->first_row));
+    }
   }
 
   // Resolve per-file sharing. The rank vectors are ascending, so the
@@ -578,24 +685,29 @@ WorkloadProfile Analyzer::analyze_store(const TraceStore& store,
   }
 
   // I/O-time fractions: wall-clock coverage (Table I) and per-rank mean.
-  // The interval unions (one per histogram bucket plus the global one) are
-  // independent sort+sweep reductions — one task each, results by slot.
+  // One sweep over the I/O rows in start order feeds the global union and
+  // one union per histogram bucket.
   {
     WASP_OBS_SPAN("analyze.unions");
     obs::TimerGuard t(om.unions_ns);
-    const std::size_t nb = read_iv.size();
-    std::vector<double> unions(1 + 2 * nb, 0.0);
-    pool.run(unions.size(), [&](std::size_t t) {
-      if (t == 0) {
-        unions[0] = union_seconds(std::move(io_intervals));
-      } else if (t <= nb) {
-        unions[t] = union_seconds(std::move(read_iv[t - 1]));
-      } else {
-        unions[t] = union_seconds(std::move(write_iv[t - 1 - nb]));
+    const std::size_t nb = p.read_hist.num_buckets();
+    Coverage all;
+    std::vector<Coverage> read_cov(nb);
+    std::vector<Coverage> write_cov(nb);
+    for_each_by_start(runs, [&](const IoRun& run, std::size_t k) {
+      if (is_compute_span(run.iface[k])) return;
+      const sim::Time t0 = run.tstart[k];
+      const sim::Time t1 = run.tend[k];
+      all.add(t0, t1);
+      const trace::Op op = run.op[k];
+      if (op == trace::Op::kRead) {
+        read_cov[p.read_hist.bucket_index(run.size[k])].add(t0, t1);
+      } else if (op == trace::Op::kWrite) {
+        write_cov[p.write_hist.bucket_index(run.size[k])].add(t0, t1);
       }
     });
     if (p.job_runtime_sec > 0) {
-      p.io_time_fraction = unions[0] / p.job_runtime_sec;
+      p.io_time_fraction = all.seconds() / p.job_runtime_sec;
       double sum = 0;
       for (const auto& [k, v] : rank_io_sec) {
         (void)k;
@@ -607,103 +719,35 @@ WorkloadProfile Analyzer::analyze_store(const TraceStore& store,
       }
     }
     for (std::size_t b = 0; b < nb; ++b) {
-      p.read_hist.add_seconds(b, unions[1 + b]);
-      p.write_hist.add_seconds(b, unions[1 + nb + b]);
+      p.read_hist.add_seconds(b, read_cov[b].seconds());
+      p.write_hist.add_seconds(b, write_cov[b].seconds());
     }
   }
 
-  // --- Phases (per app, over I/O records sorted by start) ---------------
-  // Each app's phase extraction is an independent sequential sweep; apps
-  // map in parallel, results concatenate in app-id order (the merged
-  // io_by_app row lists are already ascending, matching the serial pass).
+  // --- Phases (per app, over I/O records in start order) ----------------
+  // The same start-order walk, dispatched to one sweep per app; each app
+  // sees its own rows in (tstart, row) order. Phases concatenate in app-id
+  // order, then sort by start.
   {
     WASP_OBS_SPAN("analyze.phases");
     obs::TimerGuard t(om.phases_ns);
-    std::vector<std::pair<std::uint16_t, std::vector<std::size_t>*>> by_app;
-    by_app.reserve(io_by_app.size());
-    for (auto& [aid, idx] : io_by_app) by_app.push_back({aid, &idx});
-    std::vector<std::vector<Phase>> app_phases(by_app.size());
-    pool.run(by_app.size(), [&](std::size_t a) {
-      const std::uint16_t aid = by_app[a].first;
-      const std::vector<std::size_t>& idx = *by_app[a].second;
-      Cursor cs(store);
-      // Extract the sort keys in one sequential pass so the sort itself
-      // never touches the store — a comparator-driven sort over row indices
-      // would thrash a bounded spill cache. Sorting (tstart, row) pairs
-      // lexicographically is the exact permutation the previous
-      // tstart-then-index comparator produced.
-      std::vector<std::pair<sim::Time, std::size_t>> order;
-      order.reserve(idx.size());
-      for (const std::size_t i : idx) order.emplace_back(cs.tstart(i), i);
-      // Traces are usually already time-ordered (the tracer appends events
-      // as the sim retires them); the linear check dodges the n-log-n sort
-      // in that common case and sorting is a no-op permutation otherwise.
-      if (!std::is_sorted(order.begin(), order.end())) {
-        std::sort(order.begin(), order.end());
+    std::vector<PhaseSweep> sweeps;
+    std::vector<std::int32_t> sweep_of;  // app id -> index into sweeps
+    for_each_by_start(runs, [&](const IoRun& run, std::size_t k) {
+      const std::uint16_t aid = run.app[k];
+      if (aid >= sweep_of.size()) sweep_of.resize(aid + 1u, -1);
+      if (sweep_of[aid] < 0) {
+        sweep_of[aid] = static_cast<std::int32_t>(sweeps.size());
+        sweeps.emplace_back(aid, opts_.phase_gap);
       }
-      std::vector<Phase>& out = app_phases[a];
-      Phase cur;
-      // Dense per-phase state, cleared (capacity kept) at each flush. The
-      // size-count map only feeds the dominant-size pick, which scans sizes
-      // ascending — sorting the surviving keys at flush reproduces the
-      // ordered map's iteration exactly, without its per-row tree walks.
-      dense::FlatMap64<std::uint64_t> size_counts;
-      dense::IdSet ranks;
-      bool open = false;
-      auto flush = [&]() {
-        if (!open) return;
-        fs::Bytes dom = 0;
-        std::uint64_t dom_n = 0;
-        auto sizes = size_counts.items();
-        std::sort(sizes.begin(), sizes.end(),
-                  [](const auto& x, const auto& y) { return x.first < y.first; });
-        for (const auto& [sz, n] : sizes) {
-          if (n > dom_n && sz > 0) {
-            dom_n = n;
-            dom = sz;
-          }
-        }
-        cur.dominant_size = dom;
-        cur.ops_per_rank =
-            ranks.empty() ? 0.0
-                          : static_cast<double>(cur.ops.total_ops()) /
-                                static_cast<double>(ranks.size());
-        out.push_back(cur);
-        size_counts.clear();
-        ranks.clear();
-        open = false;
-      };
-      sim::Time phase_end = 0;
-      for (const auto& [t_i, i] : order) {
-        // Decode the row once; the phase sweep revisits rows in time order,
-        // so each access is a random store lookup — don't multiply them.
-        // tstart rides along in the sort key, saving one lookup.
-        const sim::Time t0 = t_i;
-        const sim::Time t1 = cs.tend(i);
-        const trace::Op op = cs.op(i);
-        const std::uint32_t cnt = cs.count(i);
-        const fs::Bytes sz = cs.size_col(i);
-        if (!open || t0 > phase_end + opts_.phase_gap) {
-          flush();
-          cur = Phase{};
-          cur.app = aid;
-          cur.t0 = t0;
-          cur.t1 = t1;
-          open = true;
-          phase_end = t1;
-        }
-        cur.t1 = std::max(cur.t1, t1);
-        phase_end = std::max(phase_end, t1);
-        add_op(cur.ops, op, cnt, sz * static_cast<fs::Bytes>(cnt),
-               sim::to_seconds(t1 - t0));
-        if (trace::is_data(op)) {
-          size_counts[sz] += cnt;
-        }
-        ranks.insert(cs.rank(i));
-      }
-      flush();
+      sweeps[static_cast<std::size_t>(sweep_of[aid])].add(run, k);
     });
-    for (const auto& phs : app_phases) {
+    std::sort(sweeps.begin(), sweeps.end(),
+              [](const PhaseSweep& a, const PhaseSweep& b) {
+                return a.app() < b.app();
+              });
+    for (PhaseSweep& sw : sweeps) {
+      const std::vector<Phase> phs = sw.finish();
       p.phases.insert(p.phases.end(), phs.begin(), phs.end());
     }
     std::sort(p.phases.begin(), p.phases.end(),
@@ -733,8 +777,9 @@ WorkloadProfile Analyzer::analyze_store(const TraceStore& store,
   }
 
   // --- Timeline ----------------------------------------------------------
-  // Needs the job extent, so it is a second chunked pass: per-chunk bin
-  // vectors, added together in chunk-index order.
+  // Needs the job extent, so it runs after the merge: per-chunk bin vectors
+  // from each chunk's run, walked in row order, added together in
+  // chunk-index order.
   {
     WASP_OBS_SPAN("analyze.timeline");
     obs::TimerGuard t(om.timeline_ns);
@@ -748,37 +793,28 @@ WorkloadProfile Analyzer::analyze_store(const TraceStore& store,
     p.timeline.read_bps.assign(nbins, 0.0);
     p.timeline.write_bps.assign(nbins, 0.0);
     using Bins = std::pair<std::vector<double>, std::vector<double>>;
-    const std::vector<Bins> chunk_bins = pool.map_chunks(
-        store.size(), grain, [&](const util::ChunkRange& range) {
-          Cursor cs(store);
-          Bins local{std::vector<double>(nbins, 0.0),
-                     std::vector<double>(nbins, 0.0)};
-          // Span walk: one residency resolution per storage chunk, raw
-          // column reads per row. Same arithmetic as the row-at-a-time
-          // loop, so the bins stay byte-identical.
-          for (std::size_t pos = range.begin; pos < range.end;) {
-            const ChunkSpan s = cs.span(pos, range.end);
-            for (std::size_t k = 0; k < s.rows; ++k) {
-              const trace::Op op = s.op[k];
-              if (!trace::is_data(op)) continue;
-              const double bytes = static_cast<double>(
-                  s.size[k] * static_cast<fs::Bytes>(s.count[k]));
-              if (bytes <= 0) continue;
-              const sim::Time t0 = s.tstart[k] - job_t0;
-              const sim::Time t1 = std::max(s.tend[k] - job_t0, t0 + 1);
-              const auto b0 = static_cast<std::size_t>(t0 / bin);
-              const auto b1 = std::min(
-                  static_cast<std::size_t>((t1 - 1) / bin), nbins - 1);
-              const double per_bin =
-                  bytes / static_cast<double>(b1 - b0 + 1);
-              auto& series = op == trace::Op::kRead ? local.first
-                                                    : local.second;
-              for (std::size_t b = b0; b <= b1; ++b) series[b] += per_bin;
-            }
-            pos += s.rows;
-          }
-          return local;
-        });
+    std::vector<Bins> chunk_bins(runs.size());
+    pool.run(runs.size(), [&](std::size_t c) {
+      const IoRun& run = runs[c];
+      Bins& local = chunk_bins[c];
+      local.first.assign(nbins, 0.0);
+      local.second.assign(nbins, 0.0);
+      for (std::size_t k = 0; k < run.rows(); ++k) {
+        const trace::Op op = run.op[k];
+        if (!trace::is_data(op)) continue;
+        const double bytes = static_cast<double>(
+            run.size[k] * static_cast<fs::Bytes>(run.count[k]));
+        if (bytes <= 0) continue;
+        const sim::Time t0 = run.tstart[k] - job_t0;
+        const sim::Time t1 = std::max(run.tend[k] - job_t0, t0 + 1);
+        const auto b0 = static_cast<std::size_t>(t0 / bin);
+        const auto b1 =
+            std::min(static_cast<std::size_t>((t1 - 1) / bin), nbins - 1);
+        const double per_bin = bytes / static_cast<double>(b1 - b0 + 1);
+        auto& series = op == trace::Op::kRead ? local.first : local.second;
+        for (std::size_t b = b0; b <= b1; ++b) series[b] += per_bin;
+      }
+    });
     for (const Bins& local : chunk_bins) {
       for (std::size_t b = 0; b < nbins; ++b) {
         p.timeline.read_bps[b] += local.first[b];

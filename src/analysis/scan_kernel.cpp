@@ -1,9 +1,11 @@
 #include "analysis/scan_kernel.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "analysis/dense.hpp"
+#include "util/error.hpp"
 
 namespace wasp::analysis {
 namespace {
@@ -97,7 +99,6 @@ struct AppSlot {
   AppStats stats;
   IdSet ranks;
   std::uint64_t iface_ops[kNumIfaces] = {};
-  std::vector<std::size_t> io_rows;
 };
 
 /// Everything the kernels accumulate for one analysis chunk. Fields that
@@ -116,11 +117,9 @@ struct DenseState {
   FileTable files;
   std::uint64_t seq_ops = 0;
   std::uint64_t pattern_ops = 0;
-  std::vector<Interval> io_intervals;
   util::SizeHistogram read_hist = util::SizeHistogram::paper_buckets();
   util::SizeHistogram write_hist = util::SizeHistogram::paper_buckets();
-  std::vector<std::vector<Interval>> read_iv;
-  std::vector<std::vector<Interval>> write_iv;
+  IoRun io;
 
   AppSlot& app(std::uint16_t id) {
     if (id >= apps.size()) apps.resize(static_cast<std::size_t>(id) + 1);
@@ -128,11 +127,19 @@ struct DenseState {
   }
 };
 
-/// True for rows the row loop classified as I/O: not a CPU/GPU compute
-/// span, and an I/O op.
-inline bool is_io_row(trace::Iface iface, trace::Op op) noexcept {
-  return iface != trace::Iface::kCpu && iface != trace::Iface::kGpu &&
-         trace::is_io(op);
+/// Build the run's start order: a stable sort of its positions by tstart,
+/// done here in the parallel map step so the reduce only merges. Rows are
+/// usually nearly in start order, where a merge sort beats introsort.
+void sort_by_start(IoRun& run) {
+  if (std::is_sorted(run.tstart.begin(), run.tstart.end())) return;
+  WASP_CHECK_MSG(run.rows() <= std::numeric_limits<std::uint32_t>::max(),
+                 "analysis chunk too large for 32-bit run positions");
+  run.by_start.resize(run.rows());
+  std::iota(run.by_start.begin(), run.by_start.end(), 0u);
+  std::stable_sort(run.by_start.begin(), run.by_start.end(),
+                   [&run](std::uint32_t a, std::uint32_t b) {
+                     return run.tstart[a] < run.tstart[b];
+                   });
 }
 
 // ---------------------------------------------------------------------------
@@ -145,8 +152,7 @@ inline bool is_io_row(trace::Iface iface, trace::Op op) noexcept {
 // category (the spans are bigger than L2, so repeat passes re-read DRAM).
 
 /// App bookkeeping over every record: first/last event, CPU/GPU time,
-/// procs/nodes membership, the per-app I/O row lists the phase pass
-/// consumes, and the job's time range.
+/// procs/nodes membership, and the job's time range.
 void k_apps(const ChunkSpan& s, DenseState& d,
             const std::vector<std::string>& app_names) {
   if (!d.time_init) {
@@ -174,8 +180,6 @@ void k_apps(const ChunkSpan& s, DenseState& d,
     }
     a.ranks.insert(s.rank[k]);
     d.nodes.insert(s.node[k]);
-    const trace::Op op = s.op[k];
-    if (trace::is_io(op)) a.io_rows.push_back(s.begin + k);
     const trace::Iface iface = s.iface[k];
     if (iface == trace::Iface::kCpu) {
       st.cpu_sec += sim::to_seconds(s.tend[k] - s.tstart[k]);
@@ -187,18 +191,25 @@ void k_apps(const ChunkSpan& s, DenseState& d,
   d.job_t1 = t1;
 }
 
-/// Everything keyed off I/O rows, in one decode: op breakdowns (per-app and
-/// chunk totals, per-proc I/O time, the interval collections, per-interface
+/// Everything keyed off I/O rows, in one decode: the chunk's I/O run, op
+/// breakdowns (per-app and chunk totals, per-proc I/O time, per-interface
 /// data-op counts), the request-size histograms, and the file bookkeeping —
 /// interning the scoped file once per row, then updating its stats, rank
 /// sets, and access-stream state inline, plus the global transfer-size
 /// frequencies and sequentiality counters.
 void k_io(const ChunkSpan& s, DenseState& d,
           const std::vector<char>& fs_is_shared) {
+  // Size the run's columns exactly: one byte-column pass is far cheaper
+  // than eight vectors regrowing (and over-allocating) row by row.
+  d.io.reserve(d.io.rows() + static_cast<std::size_t>(std::count_if(
+                                 s.op, s.op + s.rows, trace::is_io)));
   for (std::size_t k = 0; k < s.rows; ++k) {
     const trace::Op op = s.op[k];
+    if (!trace::is_io(op)) continue;
     const trace::Iface iface = s.iface[k];
-    if (!is_io_row(iface, op)) continue;
+    d.io.push(s.app[k], s.rank[k], iface, op, s.size[k], s.count[k],
+              s.tstart[k], s.tend[k]);
+    if (is_compute_span(iface)) continue;
     const std::uint32_t cnt = s.count[k];
     const fs::Bytes sz = s.size[k];
     const fs::Bytes bytes = sz * static_cast<fs::Bytes>(cnt);
@@ -212,18 +223,11 @@ void k_io(const ChunkSpan& s, DenseState& d,
         (static_cast<std::uint64_t>(s.app[k]) << 32) |
         static_cast<std::uint32_t>(s.rank[k]);
     d.rank_io_sec[proc_key] += dur;
-    d.io_intervals.emplace_back(s.tstart[k], s.tend[k]);
     if (data) {
       a.iface_ops[static_cast<std::size_t>(iface)] += cnt;
-      if (op == trace::Op::kRead) {
-        const std::size_t b = d.read_hist.bucket_index(sz);
-        d.read_hist.add_at(b, cnt, bytes);
-        d.read_iv[b].emplace_back(s.tstart[k], s.tend[k]);
-      } else {
-        const std::size_t b = d.write_hist.bucket_index(sz);
-        d.write_hist.add_at(b, cnt, bytes);
-        d.write_iv[b].emplace_back(s.tstart[k], s.tend[k]);
-      }
+      util::SizeHistogram& hist =
+          op == trace::Op::kRead ? d.read_hist : d.write_hist;
+      hist.add_at(hist.bucket_index(sz), cnt, bytes);
     }
 
     const trace::FileKey key{s.fs[k], s.file[k]};
@@ -293,11 +297,10 @@ ChunkState finalize(DenseState&& d) {
   st.totals = d.totals;
   st.seq_ops = d.seq_ops;
   st.pattern_ops = d.pattern_ops;
-  st.io_intervals = std::move(d.io_intervals);
   st.read_hist = std::move(d.read_hist);
   st.write_hist = std::move(d.write_hist);
-  st.read_iv = std::move(d.read_iv);
-  st.write_iv = std::move(d.write_iv);
+  st.io = std::move(d.io);
+  sort_by_start(st.io);
 
   // Apps ascending by id — the order the uint16-keyed maps would hold.
   for (std::size_t id = 0; id < d.apps.size(); ++id) {
@@ -315,10 +318,6 @@ ChunkState finalize(DenseState&& d) {
             std::make_pair(aid, static_cast<trace::Iface>(ifc)),
             a.iface_ops[ifc]);
       }
-    }
-    if (!a.io_rows.empty()) {
-      st.io_by_app.emplace_hint(st.io_by_app.end(), aid,
-                                std::move(a.io_rows));
     }
   }
   for (const std::int32_t n : d.nodes.sorted()) {
@@ -368,13 +367,35 @@ ChunkState finalize(DenseState&& d) {
 
 }  // namespace
 
+void IoRun::reserve(std::size_t n) {
+  tstart.reserve(n);
+  tend.reserve(n);
+  size.reserve(n);
+  count.reserve(n);
+  rank.reserve(n);
+  app.reserve(n);
+  op.reserve(n);
+  iface.reserve(n);
+}
+
+void IoRun::push(std::uint16_t app_id, std::int32_t rank_id,
+                 trace::Iface ifc, trace::Op o, fs::Bytes sz, std::uint32_t n,
+                 sim::Time t0, sim::Time t1) {
+  tstart.push_back(t0);
+  tend.push_back(t1);
+  size.push_back(sz);
+  count.push_back(n);
+  rank.push_back(rank_id);
+  app.push_back(app_id);
+  op.push_back(o);
+  iface.push_back(ifc);
+}
+
 ChunkState scan_chunk(const TraceStore& store, const util::ChunkRange& range,
                       const std::vector<std::string>& app_names,
                       const std::vector<char>& fs_is_shared) {
   Cursor cs(store);
   DenseState d;
-  d.read_iv.resize(d.read_hist.num_buckets());
-  d.write_iv.resize(d.write_hist.num_buckets());
   for (std::size_t pos = range.begin; pos < range.end;) {
     const ChunkSpan s = cs.span(pos, range.end);
     k_apps(s, d, app_names);
@@ -390,8 +411,6 @@ ChunkState scan_chunk_reference(const TraceStore& store,
                                 const std::vector<char>& fs_is_shared) {
   Cursor cs(store);
   ChunkState st;
-  st.read_iv.resize(st.read_hist.num_buckets());
-  st.write_iv.resize(st.write_hist.num_buckets());
   st.job_t0 = cs.tstart(range.begin);
   st.job_t1 = cs.tend(range.begin);
 
@@ -436,7 +455,10 @@ ChunkState scan_chunk_reference(const TraceStore& store,
     }
     st.procs.insert({app_id, rank});
     st.nodes.insert(node);
-    if (trace::is_io(op)) st.io_by_app[app_id].push_back(i);
+    if (trace::is_io(op)) {
+      st.io.push(app_id, rank, iface, op, cs.size_col(i), cs.count(i), t0,
+                 t1);
+    }
 
     if (iface == trace::Iface::kCpu) {
       app.cpu_sec += dur;
@@ -456,18 +478,15 @@ ChunkState scan_chunk_reference(const TraceStore& store,
     const std::uint64_t proc_key = (static_cast<std::uint64_t>(app_id) << 32) |
                                    static_cast<std::uint32_t>(rank);
     rank_io_sec[proc_key] += dur;
-    st.io_intervals.emplace_back(t0, t1);
     if (trace::is_data(op)) {
       st.iface_ops[{app_id, iface}] += cnt;
     }
 
-    // Histograms + interval collections (data ops only).
+    // Request-size histograms (data ops only).
     if (op == trace::Op::kRead) {
       st.read_hist.add(sz, cnt, bytes, 0.0);
-      st.read_iv[st.read_hist.bucket_index(sz)].push_back({t0, t1});
     } else if (op == trace::Op::kWrite) {
       st.write_hist.add(sz, cnt, bytes, 0.0);
-      st.write_iv[st.write_hist.bucket_index(sz)].push_back({t0, t1});
     }
 
     // File bookkeeping — scoped from the key and node already in hand.
@@ -539,6 +558,7 @@ ChunkState scan_chunk_reference(const TraceStore& store,
   for (const auto& [key2, state] : streams) {
     st.streams.push_back({key2.first, key2.second, state});
   }
+  sort_by_start(st.io);
   return st;
 }
 

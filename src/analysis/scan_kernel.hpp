@@ -1,5 +1,8 @@
 // The analyzer's map step: one chunk's pass over its row range, producing
 // the ChunkState partial that analyze_store() merges in chunk-index order.
+// It is the only step that reads the trace store's row columns: what the
+// passes after the merge need (phases, interval unions, timeline) leaves
+// the map step as each chunk's IoRun.
 //
 // Two implementations produce byte-identical ChunkStates:
 //
@@ -73,7 +76,11 @@ inline void add_op(OpsBreakdown& b, trace::Op op, std::uint64_t n,
   }
 }
 
-using Interval = std::pair<sim::Time, sim::Time>;
+/// CPU/GPU compute spans: never I/O rows for the op breakdowns, the
+/// file bookkeeping or the interval unions, whatever their op says.
+inline bool is_compute_span(trace::Iface iface) noexcept {
+  return iface == trace::Iface::kCpu || iface == trace::Iface::kGpu;
+}
 
 /// Per-(scoped file, rank) access-stream summary for the sequentiality
 /// reduction. Whether a chunk's *first* op on a stream continues the
@@ -103,6 +110,35 @@ struct FileAgg {
   std::vector<std::int32_t> writers;      ///< distinct ranks, ascending
 };
 
+/// One chunk's I/O rows — every row whose op is I/O, CPU/GPU spans
+/// included — copied out in row order with only the columns the passes
+/// after the merge read. The timeline walks the rows in row order; the
+/// phase sweep and the interval unions walk them in (tstart, row) order,
+/// which the reduce gets by k-way merging every chunk's `by_start` order.
+struct IoRun {
+  std::vector<sim::Time> tstart;
+  std::vector<sim::Time> tend;
+  std::vector<fs::Bytes> size;
+  std::vector<std::uint32_t> count;
+  std::vector<std::int32_t> rank;
+  std::vector<std::uint16_t> app;
+  std::vector<trace::Op> op;
+  std::vector<trace::Iface> iface;
+  /// Row positions stably sorted by tstart; empty when the rows already
+  /// are in tstart order.
+  std::vector<std::uint32_t> by_start;
+
+  std::size_t rows() const noexcept { return tstart.size(); }
+  void reserve(std::size_t n);
+  void push(std::uint16_t app_id, std::int32_t rank_id, trace::Iface ifc,
+            trace::Op o, fs::Bytes sz, std::uint32_t n, sim::Time t0,
+            sim::Time t1);
+  /// Position of the j-th row in (tstart, row) order.
+  std::size_t start_order(std::size_t j) const noexcept {
+    return by_start.empty() ? j : by_start[j];
+  }
+};
+
 /// Everything one row chunk contributes; merged in chunk-index order.
 ///
 /// Large keyed state (files, streams, per-proc I/O time, transfer sizes) is
@@ -128,12 +164,9 @@ struct ChunkState {
   std::uint64_t pattern_ops = 0;
   std::vector<std::pair<fs::Bytes, std::uint64_t>>
       size_counts;  ///< sorted by size
-  std::vector<Interval> io_intervals;
   util::SizeHistogram read_hist = util::SizeHistogram::paper_buckets();
   util::SizeHistogram write_hist = util::SizeHistogram::paper_buckets();
-  std::vector<std::vector<Interval>> read_iv;
-  std::vector<std::vector<Interval>> write_iv;
-  std::map<std::uint16_t, std::vector<std::size_t>> io_by_app;
+  IoRun io;
 };
 
 /// The batched columnar map step (the default path).

@@ -484,7 +484,6 @@ SpillColumnStore::acquire_chunk(std::size_t index, bool for_prefetch) const {
   std::promise<std::shared_ptr<const ChunkData>> promise;
   std::shared_future<std::shared_ptr<const ChunkData>> fut;
   bool loader = false;
-  bool waiting_on_prefetch = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (const auto it = cache_.find(index); it != cache_.end()) {
@@ -499,8 +498,7 @@ SpillColumnStore::acquire_chunk(std::size_t index, bool for_prefetch) const {
     }
     if (const auto fit = inflight_.find(index); fit != inflight_.end()) {
       if (for_prefetch) return nullptr;  // someone is already on it
-      fut = fit->second.fut;
-      waiting_on_prefetch = fit->second.prefetch;
+      fut = fit->second;
     } else {
       loader = true;
       // Make room before the load so the resident set stays bounded even
@@ -508,7 +506,7 @@ SpillColumnStore::acquire_chunk(std::size_t index, bool for_prefetch) const {
       // their cursors' pins.
       make_room_locked();
       fut = promise.get_future().share();
-      inflight_.emplace(index, Inflight{fut, for_prefetch});
+      inflight_.emplace(index, fut);
     }
   }
 
@@ -518,11 +516,13 @@ SpillColumnStore::acquire_chunk(std::size_t index, bool for_prefetch) const {
     std::shared_ptr<const ChunkData> data = fut.get();
     std::lock_guard<std::mutex> lock(mu_);
     hits_.add(1);
-    if (waiting_on_prefetch) {
+    // The loader published the entry before fulfilling the promise. Only
+    // the first reader to find it still flagged counts the prefetch as a
+    // hit, however many readers waited on the same load.
+    if (const auto it = cache_.find(index);
+        it != cache_.end() && it->second.prefetched) {
+      it->second.prefetched = false;
       prefetch_hits_.add(1);
-      if (const auto it = cache_.find(index); it != cache_.end()) {
-        it->second.prefetched = false;
-      }
     }
     return data;
   }

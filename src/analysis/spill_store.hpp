@@ -176,10 +176,7 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
     bool prefetched = false;
   };
 
-  struct Inflight {
-    std::shared_future<std::shared_ptr<const ChunkData>> fut;
-    bool prefetch = false;
-  };
+  using Inflight = std::shared_future<std::shared_ptr<const ChunkData>>;
 
   static constexpr std::size_t kNoChunk =
       std::numeric_limits<std::size_t>::max();

@@ -9,7 +9,10 @@
 // trace-log write must surface one diagnosed SimError and leave no
 // truncated files behind.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -384,6 +387,40 @@ TEST(CliParseDeathTest, BadFlagValueExitsTwoNamingTheFlag) {
               ::testing::ExitedWithCode(2), "bad value for --jobs");
   EXPECT_EXIT(util::cli_uint("--chunk-rows", "-3"),
               ::testing::ExitedWithCode(2), "bad value for --chunk-rows");
+}
+
+/// Run a tool binary in place of the death-test child: its exit status and
+/// stderr become the child's, so a SIGABRT shows up as a signal, not code 1.
+void exec_tool(const char* bin, std::vector<std::string> args) {
+  std::vector<char*> argv{const_cast<char*>(bin)};
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  ::execv(bin, argv.data());
+  std::perror("execv");
+  std::_Exit(127);
+}
+
+TEST(CliParseDeathTest, CorruptInputExitsOneWithDiagnostic) {
+  const auto entry = hacc_entry();
+  runtime::Simulation sim(test_cluster());
+  workloads::run_with(sim, entry.make_test(), advisor::RunConfig{},
+                      analysis::Analyzer::Options{});
+  const std::string log = temp_path("cli_truncated.wtrc");
+  trace::write_log(log, sim.tracer());
+  std::filesystem::resize_file(log, std::filesystem::file_size(log) / 2);
+  EXPECT_EXIT(exec_tool(WASP_ANALYZE_BIN, {log}),
+              ::testing::ExitedWithCode(1), "wasp_analyze: .*" + log);
+  EXPECT_EXIT(exec_tool(WASP_ANALYZE_BIN,
+                        {log, "--backend", "spill", "--spill-dir",
+                         temp_path("cli_truncated.spill")}),
+              ::testing::ExitedWithCode(1), "wasp_analyze: ");
+
+  const std::string yaml = temp_path("cli_corrupt.yaml");
+  std::ofstream(yaml) << "workload: [unterminated\n  apps: {\n";
+  EXPECT_EXIT(exec_tool(WASP_ADVISE_BIN, {yaml}),
+              ::testing::ExitedWithCode(1), "wasp_advise: ");
+  EXPECT_EXIT(exec_tool(WASP_ADVISE_BIN, {temp_path("no_such.yaml")}),
+              ::testing::ExitedWithCode(1), "wasp_advise: ");
 }
 
 }  // namespace

@@ -215,12 +215,12 @@ TEST(ParallelFs, WriteTokenRevocationOnCrossNodeWrite) {
   };
 
   // Same-node writes: no revocation.
-  auto same = [&](Engine& e) -> Task<void> {
+  auto same = [&]() -> Task<void> {
     co_await write_from(pfs, f, 0);
     co_await write_from(pfs, f, 0);
     co_return;
   };
-  eng.spawn(same(eng));
+  eng.spawn(same());
   eng.run();
   const sim::Time same_node = eng.now();
 
@@ -229,12 +229,12 @@ TEST(ParallelFs, WriteTokenRevocationOnCrossNodeWrite) {
   Namespace& ns2 = pfs2.ns({0, 0});
   const FileId f2 = ns2.create("/p/gpfs1/f", 0, 0, 0);
   ns2.inode(f2).size = 8 * util::kKiB;
-  auto cross = [&](Engine& e) -> Task<void> {
+  auto cross = [&]() -> Task<void> {
     co_await write_from(pfs2, f2, 0);
     co_await write_from(pfs2, f2, 1);
     co_return;
   };
-  eng2.spawn(cross(eng2));
+  eng2.spawn(cross());
   eng2.run();
   EXPECT_GT(eng2.now(), same_node + 400 * sim::kUs);
 }

@@ -473,6 +473,39 @@ TEST(SpillStore, SequentialScanPrefetchesNextChunk) {
   EXPECT_LE(store.peak_resident_chunks(), 2u + 1u + 1u);
 }
 
+// Several readers arriving while one prefetch load is in flight share that
+// load, and it counts as at most one prefetch hit — not one per waiter.
+TEST(SpillStore, ReadersWaitingOnOnePrefetchCountOneHit) {
+  constexpr std::size_t kRows = 1 << 15;  // slow enough to decode to catch
+  constexpr std::size_t kChunks = 6;
+  constexpr int kReaders = 4;
+  const auto records = synthetic_records(kRows * kChunks);
+  analysis::SpillColumnStore store({.dir = spill_dir("prefetch_wait.spill"),
+                                    .chunk_rows = kRows,
+                                    .max_resident_chunks = 4});
+  store.append(records);
+  store.finalize();
+
+  for (std::size_t k = 0; k + 1 < kChunks; ++k) {
+    (void)store.chunk(k);  // schedules the prefetch of k+1
+    // Give the prefetch thread time to claim the load, then pile on.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&store, k] {
+        const auto h = store.chunk(k + 1);
+        EXPECT_EQ(h.cols.base, (k + 1) * kRows);
+      });
+    }
+    for (auto& th : readers) th.join();
+  }
+  const auto io = store.io_stats();
+  EXPECT_GT(io.prefetch_issued, 0u);
+  EXPECT_LE(io.prefetch_hits, io.prefetch_issued);
+  // Waiters share the in-flight load: every chunk was read exactly once.
+  EXPECT_EQ(io.chunk_loads, kChunks);
+}
+
 // Many cursors hammering a one-chunk cache: exercises the off-lock loader,
 // the in-flight load sharing, and eviction under contention. Runs under the
 // "sanitize" label in the WASP_SANITIZE=thread build.

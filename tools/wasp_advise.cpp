@@ -6,11 +6,14 @@
 #include <iostream>
 
 #include "advisor/rules.hpp"
+#include "cli_contract.hpp"
 #include "core/yaml_loader.hpp"
 
 using namespace wasp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   if (argc != 2) {
     std::cerr << "usage: wasp_advise <features.yaml>\n";
     return 2;
@@ -50,4 +53,11 @@ int main(int argc, char** argv) {
             << "  async_checkpoint_drain  = "
             << (cfg.async_checkpoint_drain ? "true" : "false") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return toolcli::guarded_main("wasp_advise",
+                               [&] { return run_main(argc, argv); });
 }

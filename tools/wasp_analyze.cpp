@@ -23,6 +23,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "analysis/spill_store.hpp"
+#include "cli_contract.hpp"
 #include "telemetry_cli.hpp"
 #include "trace/log_io.hpp"
 #include "util/parallel.hpp"
@@ -122,9 +123,7 @@ void print_io_stats(const analysis::IoStats& io) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   const auto wall_t0 = std::chrono::steady_clock::now();
   if (argc < 2) {
     std::cerr << "usage: wasp_analyze <trace.wtrc> [--phases] [--files N]"
@@ -270,4 +269,11 @@ int main(int argc, char** argv) {
   toolcli::write_report(report_out, "wasp_analyze", util::default_jobs(),
                         backend, wall_t0);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return toolcli::guarded_main("wasp_analyze",
+                               [&] { return run_main(argc, argv); });
 }

@@ -14,6 +14,7 @@
 #include <iostream>
 
 #include "advisor/rules.hpp"
+#include "cli_contract.hpp"
 #include "sim/faults.hpp"
 #include "telemetry_cli.hpp"
 #include "trace/log_io.hpp"
@@ -224,10 +225,6 @@ int run_main(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run_main(argc, argv);
-  } catch (const util::SimError& e) {
-    std::cerr << "wasp_run: " << e.what() << "\n";
-    return 1;
-  }
+  return toolcli::guarded_main("wasp_run",
+                               [&] { return run_main(argc, argv); });
 }
