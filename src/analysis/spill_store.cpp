@@ -1,5 +1,7 @@
 #include "analysis/spill_store.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -7,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "analysis/chunk_codec.hpp"
 #include "obs/obs.hpp"
@@ -23,6 +24,7 @@ namespace {
 constexpr char kChunkMagicV1[8] = {'W', 'S', 'P', 'C', 'H', 'K', '0', '1'};
 constexpr char kChunkMagicV2[8] = {'W', 'S', 'P', 'C', 'H', 'K', '0', '2'};
 constexpr std::uint64_t kFlagAux = 1;
+constexpr std::size_t kColHeaderBytes = 1 + sizeof(std::uint64_t);
 
 constexpr const char* kColNames[] = {
     "app",   "rank",  "node",   "iface",    "op",        "fs",  "file",
@@ -35,14 +37,25 @@ constexpr const char* kColNames[] = {
 // ever colliding on chunk file names.
 std::atomic<std::uint64_t> g_store_seq{0};
 
-void write_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+std::string errno_suffix(int err) {
+  return err != 0 ? std::string(" (") + std::strerror(err) + ")"
+                  : std::string();
 }
 
-std::uint64_t read_u64(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
+/// Grow `buf` by n bytes and return where they start.
+std::uint8_t* extend(std::vector<std::uint8_t>& buf, std::size_t n) {
+  const std::size_t at = buf.size();
+  buf.resize(at + n);
+  return buf.data() + at;
+}
+
+void put_bytes(std::vector<std::uint8_t>& buf, const void* src,
+               std::size_t n) {
+  if (n != 0) std::memcpy(extend(buf, n), src, n);
+}
+
+void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
+  put_bytes(buf, &v, sizeof(v));
 }
 
 /// Remove a partially-written chunk so a disk-full flush never leaves a
@@ -58,63 +71,161 @@ void remove_partial_chunk(const std::string& path) {
   }
 }
 
-template <typename T>
-void write_col_raw(std::ostream& os, const std::vector<T>& col) {
-  os.write(reinterpret_cast<const char*>(col.data()),
-           static_cast<std::streamsize>(col.size() * sizeof(T)));
-}
-
-template <typename T>
-void read_col_raw(std::istream& is, std::vector<T>& col, std::size_t rows) {
-  col.resize(rows);
-  is.read(reinterpret_cast<char*>(col.data()),
-          static_cast<std::streamsize>(rows * sizeof(T)));
-}
-
-/// Read one WSPCHK02 column: tag, payload length, payload; decode into the
-/// typed column. Every length and the decoded row count are validated, so
-/// truncated or corrupt files throw instead of mis-decoding.
-template <typename T>
-void read_col_v2(std::istream& is, std::vector<T>& col, std::size_t rows,
-                 const std::string& path) {
-  std::uint8_t tag = 0xff;
-  is.read(reinterpret_cast<char*>(&tag), 1);
-  const std::uint64_t len = read_u64(is);
-  WASP_CHECK_MSG(is.good(), "truncated spill chunk column header: " + path);
-  switch (static_cast<codec::Encoding>(tag)) {
-    case codec::Encoding::kRaw: {
-      WASP_CHECK_MSG(len == rows * sizeof(T),
-                     "raw column length mismatch in spill chunk: " + path);
-      read_col_raw(is, col, rows);
-      WASP_CHECK_MSG(is.good(), "truncated spill chunk: " + path);
-      return;
+/// Write a whole chunk file. On a real disk error (ENOSPC, EIO, quota) the
+/// partial chunk is deleted, so the store directory never holds a truncated
+/// file, and one diagnosed error is thrown instead of a corrupt-chunk
+/// failure at read time.
+void write_chunk_file(const std::string& path,
+                      const std::vector<std::uint8_t>& bytes) {
+  errno = 0;
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    throw util::SimError("cannot open spill chunk for writing: " + path +
+                         errno_suffix(errno));
+  }
+  std::size_t done = 0;
+  int err = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      err = n < 0 ? errno : 0;
+      break;
     }
+    done += static_cast<std::size_t>(n);
+  }
+  if (::close(fd) != 0 && err == 0) err = errno;
+  if (done < bytes.size() || err != 0) {
+    remove_partial_chunk(path);
+    throw util::SimError("short write to spill chunk: " + path +
+                         ": expected " + std::to_string(bytes.size()) +
+                         " bytes, wrote " + std::to_string(done) +
+                         errno_suffix(err) + "; partial chunk removed");
+  }
+}
+
+/// Read a whole chunk file into memory.
+std::vector<std::uint8_t> read_chunk_file(const std::string& path) {
+  errno = 0;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw util::SimError("cannot open spill chunk: " + path +
+                         errno_suffix(errno));
+  }
+  struct ::stat st {};
+  std::vector<std::uint8_t> bytes;
+  int err = 0;
+  if (::fstat(fd, &st) != 0) {
+    err = errno;
+  } else {
+    bytes.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+      const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        err = n < 0 ? errno : 0;
+        break;
+      }
+      done += static_cast<std::size_t>(n);
+    }
+    bytes.resize(done);
+  }
+  ::close(fd);
+  if (err != 0) {
+    throw util::SimError("cannot read spill chunk: " + path +
+                         errno_suffix(err));
+  }
+  return bytes;
+}
+
+/// Bounds-checked cursor over an in-memory chunk file.
+struct ChunkReader {
+  const std::uint8_t* p;
+  const std::uint8_t* end;
+  const std::string& path;
+
+  const std::uint8_t* take(std::uint64_t n) {
+    WASP_CHECK_MSG(n <= static_cast<std::uint64_t>(end - p),
+                   "truncated spill chunk: " + path);
+    const std::uint8_t* at = p;
+    p += n;
+    return at;
+  }
+  std::uint64_t u64() {
+    std::uint64_t v = 0;
+    std::memcpy(&v, take(sizeof(v)), sizeof(v));
+    return v;
+  }
+};
+
+template <typename T>
+void read_col_raw(ChunkReader& in, std::vector<T>& col, std::size_t rows) {
+  col.resize(rows);
+  const std::size_t bytes = rows * sizeof(T);
+  if (bytes != 0) std::memcpy(col.data(), in.take(bytes), bytes);
+}
+
+/// Read one WSPCHK02 column: tag, payload length, payload; decode straight
+/// into the typed column. Every length, the decoded row count and every
+/// value's range are validated, so truncated or corrupt files throw instead
+/// of mis-decoding.
+template <typename T>
+void read_col_v2(ChunkReader& in, std::vector<T>& col, std::size_t rows) {
+  const std::uint8_t tag = *in.take(1);
+  const std::uint64_t len = in.u64();
+  switch (static_cast<codec::Encoding>(tag)) {
+    case codec::Encoding::kRaw:
+      WASP_CHECK_MSG(len == rows * sizeof(T),
+                     "raw column length mismatch in spill chunk: " + in.path);
+      read_col_raw(in, col, rows);
+      return;
     case codec::Encoding::kDelta:
     case codec::Encoding::kRle: {
       WASP_CHECK_MSG(len <= codec::max_encoded_bytes(rows),
-                     "oversized encoded column in spill chunk: " + path);
-      std::vector<std::uint8_t> buf(static_cast<std::size_t>(len));
-      is.read(reinterpret_cast<char*>(buf.data()),
-              static_cast<std::streamsize>(buf.size()));
-      WASP_CHECK_MSG(is.good(), "truncated spill chunk: " + path);
-      std::vector<std::uint64_t> widened(rows);
-      if (static_cast<codec::Encoding>(tag) == codec::Encoding::kDelta) {
-        codec::decode_delta(buf.data(), buf.size(), widened.data(), rows);
-      } else {
-        codec::decode_rle(buf.data(), buf.size(), widened.data(), rows);
-      }
+                     "oversized encoded column in spill chunk: " + in.path);
+      const std::uint8_t* payload = in.take(len);
       col.resize(rows);
-      for (std::size_t i = 0; i < rows; ++i) {
-        col[i] = codec::narrow<T>(widened[i]);
+      try {
+        if (static_cast<codec::Encoding>(tag) == codec::Encoding::kDelta) {
+          codec::decode_delta(payload, len, col.data(), rows);
+        } else {
+          codec::decode_rle(payload, len, col.data(), rows);
+        }
+      } catch (const util::SimError& e) {
+        throw util::SimError(std::string(e.what()) +
+                             " in spill chunk: " + in.path);
       }
       return;
     }
     default:
-      WASP_CHECK_MSG(false, "unknown column encoding in spill chunk: " + path);
+      WASP_CHECK_MSG(false,
+                     "unknown column encoding in spill chunk: " + in.path);
   }
 }
 
 }  // namespace
+
+template <typename Self, typename F>
+void SpillColumnStore::Columns::for_each(Self& c, bool aux, F&& f) {
+  f(c.app, kColApp);
+  f(c.rank, kColRank);
+  f(c.node, kColNode);
+  f(c.iface, kColIface);
+  f(c.op, kColOp);
+  f(c.fs, kColFs);
+  f(c.file, kColFile);
+  f(c.offset, kColOffset);
+  f(c.size, kColSize);
+  f(c.count, kColCount);
+  f(c.tstart, kColTstart);
+  f(c.tend, kColTend);
+  if (aux) {
+    f(c.path_idx, kColPathIdx);
+    f(c.file_size, kColFileSize);
+  }
+}
 
 SpillColumnStore::ChunkData::~ChunkData() {
   if (residency) residency->resident.fetch_sub(1, std::memory_order_relaxed);
@@ -133,14 +244,7 @@ SpillColumnStore::SpillColumnStore(Options opts) : opts_(std::move(opts)) {
 }
 
 SpillColumnStore::~SpillColumnStore() {
-  if (prefetch_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(pf_mu_);
-      pf_stop_ = true;
-    }
-    pf_cv_.notify_one();
-    prefetch_thread_.join();
-  }
+  stop_io_thread();
   {
     std::lock_guard<std::mutex> lock(mu_);
     cache_.clear();
@@ -162,235 +266,226 @@ std::string SpillColumnStore::chunk_file_path(std::size_t index) const {
   return dir_ + "/" + name;
 }
 
-void SpillColumnStore::push_row(const trace::Record& r) {
-  open_.app.push_back(r.app);
-  open_.rank.push_back(r.rank);
-  open_.node.push_back(r.node);
-  open_.iface.push_back(r.iface);
-  open_.op.push_back(r.op);
-  open_.fs.push_back(r.file.fs);
-  open_.file.push_back(r.file.file);
-  open_.offset.push_back(r.offset);
-  open_.size.push_back(r.size);
-  open_.count.push_back(r.count);
-  open_.tstart.push_back(r.tstart);
-  open_.tend.push_back(r.tend);
-  max_fs_ = std::max(max_fs_, r.file.fs);
-}
-
-void SpillColumnStore::maybe_flush() {
-  if (open_.rows() >= opts_.chunk_rows) flush_open_chunk();
-}
-
 void SpillColumnStore::append(std::span<const trace::Record> records) {
-  WASP_CHECK_MSG(!finalized_, "append to finalized spill store");
-  WASP_CHECK_MSG(!aux_decided_ || !has_aux_,
-                 "mixing aux and non-aux appends on one spill store");
-  aux_decided_ = true;
-  for (const trace::Record& r : records) {
-    push_row(r);
-    maybe_flush();
-  }
-  total_rows_ += records.size();
+  decide_aux(false);
+  append_rows(records, nullptr, nullptr);
 }
 
 void SpillColumnStore::append(std::span<const trace::Record> records,
                               std::span<const std::uint32_t> path_idx,
                               std::span<const std::uint64_t> file_sizes) {
-  WASP_CHECK_MSG(!finalized_, "append to finalized spill store");
-  WASP_CHECK_MSG(!aux_decided_ || has_aux_,
-                 "mixing aux and non-aux appends on one spill store");
+  decide_aux(true);
   WASP_CHECK_MSG(
       records.size() == path_idx.size() && records.size() == file_sizes.size(),
       "aux columns must parallel the record span");
-  aux_decided_ = true;
-  has_aux_ = true;
+  append_rows(records, path_idx.data(), file_sizes.data());
+}
+
+void SpillColumnStore::decide_aux(bool aux) {
+  WASP_CHECK_MSG(!finalized_, "append to finalized spill store");
+  // Written once, by the first append: the background writer reads it.
+  if (!aux_decided_) {
+    aux_decided_ = true;
+    has_aux_ = aux;
+  }
+  WASP_CHECK_MSG(has_aux_ == aux,
+                 "mixing aux and non-aux appends on one spill store");
+}
+
+void SpillColumnStore::append_rows(std::span<const trace::Record> records,
+                                   const std::uint32_t* path_idx,
+                                   const std::uint64_t* file_sizes) {
+  if (io_thread_.joinable()) {
+    std::lock_guard<std::mutex> lock(io_mu_);
+    if (write_error_) std::rethrow_exception(write_error_);
+  }
   for (std::size_t i = 0; i < records.size(); ++i) {
-    push_row(records[i]);
-    open_.path_idx.push_back(path_idx[i]);
-    open_.file_size.push_back(file_sizes[i]);
-    maybe_flush();
+    const trace::Record& r = records[i];
+    open_.app.push_back(r.app);
+    open_.rank.push_back(r.rank);
+    open_.node.push_back(r.node);
+    open_.iface.push_back(r.iface);
+    open_.op.push_back(r.op);
+    open_.fs.push_back(r.file.fs);
+    open_.file.push_back(r.file.file);
+    open_.offset.push_back(r.offset);
+    open_.size.push_back(r.size);
+    open_.count.push_back(r.count);
+    open_.tstart.push_back(r.tstart);
+    open_.tend.push_back(r.tend);
+    if (path_idx != nullptr) {
+      open_.path_idx.push_back(path_idx[i]);
+      open_.file_size.push_back(file_sizes[i]);
+    }
+    max_fs_ = std::max(max_fs_, r.file.fs);
+    if (open_.rows() >= opts_.chunk_rows) seal_open_chunk();
   }
   total_rows_ += records.size();
 }
 
+void SpillColumnStore::seal_open_chunk() {
+  if (!io_thread_.joinable()) {
+    io_thread_ = std::thread(&SpillColumnStore::io_loop, this);
+  }
+  {
+    std::unique_lock<std::mutex> lock(io_mu_);
+    io_cv_.wait(lock, [this] { return !sealed_pending_; });
+    if (write_error_) std::rethrow_exception(write_error_);
+    std::swap(open_, sealed_);
+    sealed_index_ = chunks_written_++;
+    sealed_pending_ = true;
+  }
+  io_cv_.notify_all();
+  // The swapped-in buffers were written already: keep their capacity.
+  Columns::for_each(open_, has_aux_, [this](auto& col, Col) {
+    col.clear();
+    col.reserve(opts_.chunk_rows);
+  });
+}
+
 void SpillColumnStore::finalize() {
   WASP_CHECK_MSG(!finalized_, "finalize called twice");
-  flush_open_chunk();
+  if (io_thread_.joinable()) {
+    if (open_.rows() > 0) seal_open_chunk();
+    std::unique_lock<std::mutex> lock(io_mu_);
+    io_cv_.wait(lock, [this] { return !sealed_pending_; });
+    if (write_error_) std::rethrow_exception(write_error_);
+  } else if (open_.rows() > 0) {
+    // Everything fit in one chunk: write it here, no thread needed.
+    write_chunk(open_, chunks_written_);
+    ++chunks_written_;
+  }
+  open_ = Columns{};
+  sealed_ = Columns{};
+  chunk_buf_ = {};
   finalized_ = true;
   if (opts_.prefetch && chunks_written_ > 1) {
-    prefetch_thread_ = std::thread(&SpillColumnStore::prefetch_loop, this);
-  }
-}
-
-template <typename T>
-void SpillColumnStore::write_col_v2(std::ostream& os, const std::vector<T>& col,
-                                    Col id) {
-  const std::size_t n = col.size();
-  std::vector<std::uint64_t> widened(n);
-  for (std::size_t i = 0; i < n; ++i) widened[i] = codec::widen(col[i]);
-  const auto delta = codec::encode_delta(widened.data(), n);
-  const auto rle = codec::encode_rle(widened.data(), n);
-  const std::size_t raw_size = n * sizeof(T);
-
-  codec::Encoding enc = codec::Encoding::kRaw;
-  std::size_t payload = raw_size;
-  if (delta.size() < payload) {
-    enc = codec::Encoding::kDelta;
-    payload = delta.size();
-  }
-  if (rle.size() < payload) {
-    enc = codec::Encoding::kRle;
-    payload = rle.size();
-  }
-
-  const auto tag = static_cast<std::uint8_t>(enc);
-  os.write(reinterpret_cast<const char*>(&tag), 1);
-  write_u64(os, payload);
-  switch (enc) {
-    case codec::Encoding::kRaw:
-      write_col_raw(os, col);
-      break;
-    case codec::Encoding::kDelta:
-      os.write(reinterpret_cast<const char*>(delta.data()),
-               static_cast<std::streamsize>(delta.size()));
-      break;
-    case codec::Encoding::kRle:
-      os.write(reinterpret_cast<const char*>(rle.data()),
-               static_cast<std::streamsize>(rle.size()));
-      break;
-  }
-  col_raw_[id] += raw_size;
-  col_stored_[id] += payload + 1 + sizeof(std::uint64_t);
-}
-
-void SpillColumnStore::flush_open_chunk() {
-  const std::size_t rows = open_.rows();
-  if (rows == 0) return;
-  const std::string path = chunk_file_path(chunks_written_);
-  errno = 0;
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os.good()) {
-    const int err = errno;
-    throw util::SimError("cannot open spill chunk for writing: " + path +
-                         (err != 0 ? std::string(" (") + std::strerror(err) + ")"
-                                   : std::string()));
-  }
-  // col_stored_ accumulates the exact on-disk payload per column as each is
-  // written; its delta across this flush is the expected body size, used to
-  // diagnose short writes below.
-  std::uint64_t stored_before = 0;
-  for (std::size_t c = 0; c < kNumCols; ++c) stored_before += col_stored_[c];
-  errno = 0;
-  const std::uint64_t flags = has_aux_ ? kFlagAux : 0;
-  if (opts_.compress) {
-    os.write(kChunkMagicV2, sizeof(kChunkMagicV2));
-    write_u64(os, 2);
-    write_u64(os, rows);
-    write_u64(os, flags);
-    write_col_v2(os, open_.app, kColApp);
-    write_col_v2(os, open_.rank, kColRank);
-    write_col_v2(os, open_.node, kColNode);
-    write_col_v2(os, open_.iface, kColIface);
-    write_col_v2(os, open_.op, kColOp);
-    write_col_v2(os, open_.fs, kColFs);
-    write_col_v2(os, open_.file, kColFile);
-    write_col_v2(os, open_.offset, kColOffset);
-    write_col_v2(os, open_.size, kColSize);
-    write_col_v2(os, open_.count, kColCount);
-    write_col_v2(os, open_.tstart, kColTstart);
-    write_col_v2(os, open_.tend, kColTend);
-    if (has_aux_) {
-      write_col_v2(os, open_.path_idx, kColPathIdx);
-      write_col_v2(os, open_.file_size, kColFileSize);
+    // More than one chunk means a chunk was sealed before this call, so
+    // the background thread is running: turn it to read-ahead.
+    {
+      std::lock_guard<std::mutex> lock(io_mu_);
+      prefetching_ = true;
     }
+    io_cv_.notify_all();
   } else {
-    os.write(kChunkMagicV1, sizeof(kChunkMagicV1));
-    write_u64(os, 1);
-    write_u64(os, rows);
-    write_u64(os, flags);
-    const auto raw_col = [&](const auto& col, Col id) {
-      using T = typename std::decay_t<decltype(col)>::value_type;
-      write_col_raw(os, col);
-      const std::uint64_t bytes = col.size() * sizeof(T);
-      col_raw_[id] += bytes;
-      col_stored_[id] += bytes;
-    };
-    raw_col(open_.app, kColApp);
-    raw_col(open_.rank, kColRank);
-    raw_col(open_.node, kColNode);
-    raw_col(open_.iface, kColIface);
-    raw_col(open_.op, kColOp);
-    raw_col(open_.fs, kColFs);
-    raw_col(open_.file, kColFile);
-    raw_col(open_.offset, kColOffset);
-    raw_col(open_.size, kColSize);
-    raw_col(open_.count, kColCount);
-    raw_col(open_.tstart, kColTstart);
-    raw_col(open_.tend, kColTend);
-    if (has_aux_) {
-      raw_col(open_.path_idx, kColPathIdx);
-      raw_col(open_.file_size, kColFileSize);
+    stop_io_thread();
+  }
+}
+
+void SpillColumnStore::stop_io_thread() {
+  if (!io_thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(io_mu_);
+    io_stop_ = true;
+  }
+  io_cv_.notify_all();
+  io_thread_.join();
+}
+
+void SpillColumnStore::io_loop() {
+  if (obs::SpanTracer::instance().enabled()) {
+    obs::SpanTracer::instance().set_thread_name("spill-io");
+  }
+  std::unique_lock<std::mutex> lock(io_mu_);
+  // Ingest: write each sealed chunk while the caller fills the next one.
+  for (;;) {
+    io_cv_.wait(lock, [this] {
+      return io_stop_ || prefetching_ || sealed_pending_;
+    });
+    if (io_stop_) return;
+    if (!sealed_pending_) break;  // finalize() drained the writer
+    const std::size_t index = sealed_index_;
+    lock.unlock();
+    std::exception_ptr err;
+    try {
+      write_chunk(sealed_, index);
+    } catch (...) {
+      err = std::current_exception();
     }
+    lock.lock();
+    if (err && !write_error_) write_error_ = err;
+    sealed_pending_ = false;
+    io_cv_.notify_all();
   }
-  os.flush();
-  if (!os.good()) {
-    // Graceful degradation on a real disk error (ENOSPC, EIO, quota): close
-    // the stream, measure what actually landed, delete the partial chunk so
-    // the store directory never holds a truncated file, and surface one
-    // diagnosed error instead of a corrupt-chunk failure at read time.
-    const int err = errno;
-    std::uint64_t stored_after = 0;
-    for (std::size_t c = 0; c < kNumCols; ++c) stored_after += col_stored_[c];
-    const std::uint64_t expected =
-        sizeof(kChunkMagicV2) + 3 * sizeof(std::uint64_t) +
-        (stored_after - stored_before);
-    os.close();
-    std::error_code ec;
-    const std::uint64_t actual = std::filesystem::is_regular_file(path, ec)
-                                     ? std::filesystem::file_size(path, ec)
-                                     : 0;
-    remove_partial_chunk(path);
-    throw util::SimError(
-        "short write to spill chunk: " + path + ": expected " +
-        std::to_string(expected) + " bytes, wrote " + std::to_string(actual) +
-        (err != 0 ? std::string(" (") + std::strerror(err) + ")"
-                  : std::string()) +
-        "; partial chunk removed");
+  // Sealed for reading: read ahead on sequential scans.
+  for (;;) {
+    io_cv_.wait(lock, [this] { return io_stop_ || pf_target_ != kNoChunk; });
+    if (io_stop_) return;
+    const std::size_t target = pf_target_;
+    pf_target_ = kNoChunk;
+    lock.unlock();
+    try {
+      (void)acquire_chunk(target, /*for_prefetch=*/true);
+    } catch (const std::exception&) {
+      // Corrupt/unreadable chunk: drop it here — the demand load will
+      // surface the error on the caller's thread.
+    }
+    lock.lock();
   }
-  bytes_written_.add(static_cast<std::uint64_t>(os.tellp()));
-  // Cells are monotonic, so bring raw_bytes_ up to the running col_raw_
-  // total by its delta instead of recomputing from zero.
+}
+
+void SpillColumnStore::write_chunk(const Columns& cols, std::size_t index) {
+  WASP_OBS_SPAN("spill.flush");
+  const std::size_t rows = cols.rows();
+  std::vector<std::uint8_t>& buf = chunk_buf_;
+  buf.clear();
+  put_bytes(buf, opts_.compress ? kChunkMagicV2 : kChunkMagicV1, 8);
+  put_u64(buf, opts_.compress ? 2 : 1);
+  put_u64(buf, rows);
+  put_u64(buf, has_aux_ ? kFlagAux : 0);
+  std::uint64_t raw[kNumCols] = {};
+  std::uint64_t stored[kNumCols] = {};
+  Columns::for_each(cols, has_aux_, [&](const auto& col, Col id) {
+    using T = typename std::decay_t<decltype(col)>::value_type;
+    raw[id] = rows * sizeof(T);
+    if (!opts_.compress) {
+      put_bytes(buf, col.data(), raw[id]);
+      stored[id] = raw[id];
+      return;
+    }
+    const codec::Choice c = codec::choose_encoding(col.data(), rows);
+    const auto tag = static_cast<std::uint8_t>(c.enc);
+    put_bytes(buf, &tag, 1);
+    put_u64(buf, c.bytes);
+    switch (c.enc) {
+      case codec::Encoding::kRaw:
+        put_bytes(buf, col.data(), c.bytes);
+        break;
+      case codec::Encoding::kDelta:
+        codec::encode_delta(col.data(), rows, extend(buf, c.bytes));
+        break;
+      case codec::Encoding::kRle:
+        codec::encode_rle(col.data(), rows, extend(buf, c.bytes));
+        break;
+    }
+    stored[id] = kColHeaderBytes + c.bytes;
+  });
+  write_chunk_file(chunk_file_path(index), buf);
+
+  bytes_written_.add(buf.size());
   std::uint64_t raw_total = 0;
-  for (std::size_t c = 0; c < kNumCols; ++c) raw_total += col_raw_[c];
-  raw_bytes_.add(raw_total - raw_bytes_.value());
-  open_ = Columns{};
-  ++chunks_written_;
+  for (std::size_t c = 0; c < kNumCols; ++c) {
+    col_raw_[c] += raw[c];
+    col_stored_[c] += stored[c];
+    raw_total += raw[c];
+  }
+  raw_bytes_.add(raw_total);
 }
 
 std::shared_ptr<const SpillColumnStore::ChunkData> SpillColumnStore::load_chunk(
     std::size_t index) const {
   WASP_OBS_SPAN("spill.load");
   const std::string path = chunk_file_path(index);
-  errno = 0;
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) {
-    const int err = errno;
-    throw util::SimError("cannot open spill chunk: " + path +
-                         (err != 0 ? std::string(" (") + std::strerror(err) + ")"
-                                   : std::string()));
-  }
-  char magic[sizeof(kChunkMagicV2)] = {};
-  is.read(magic, sizeof(magic));
-  const bool v2 =
-      std::equal(magic, magic + sizeof(magic), kChunkMagicV2);
-  WASP_CHECK_MSG(
-      v2 || std::equal(magic, magic + sizeof(magic), kChunkMagicV1),
-      "bad spill chunk magic: " + path);
-  WASP_CHECK_MSG(read_u64(is) == (v2 ? 2u : 1u),
+  const std::vector<std::uint8_t> file = read_chunk_file(path);
+  ChunkReader in{file.data(), file.data() + file.size(), path};
+  const std::uint8_t* magic = in.take(8);
+  const bool v2 = std::memcmp(magic, kChunkMagicV2, 8) == 0;
+  WASP_CHECK_MSG(v2 || std::memcmp(magic, kChunkMagicV1, 8) == 0,
+                 "bad spill chunk magic: " + path);
+  WASP_CHECK_MSG(in.u64() == (v2 ? 2u : 1u),
                  "unsupported spill chunk version: " + path);
-  const std::uint64_t rows64 = read_u64(is);
-  const std::uint64_t flags = read_u64(is);
+  const std::uint64_t rows64 = in.u64();
+  const std::uint64_t flags = in.u64();
   const auto rows = static_cast<std::size_t>(rows64);
   // Every chunk except the last must hold exactly chunk_rows rows —
   // view_of() computes each chunk's base as index * chunk_rows, so a short
@@ -400,52 +495,22 @@ std::shared_ptr<const SpillColumnStore::ChunkData> SpillColumnStore::load_chunk(
       index + 1 == chunks_written_
           ? total_rows_ - (chunks_written_ - 1) * opts_.chunk_rows
           : opts_.chunk_rows;
-  WASP_CHECK_MSG(is.good() && rows == expected,
-                 "spill chunk row count mismatch: " + path);
+  WASP_CHECK_MSG(rows == expected, "spill chunk row count mismatch: " + path);
   const bool aux = (flags & kFlagAux) != 0;
   WASP_CHECK_MSG(aux == has_aux_, "spill chunk aux flag mismatch: " + path);
 
   auto data = std::make_shared<ChunkData>();
-  Columns& c = data->cols;
-  if (v2) {
-    read_col_v2(is, c.app, rows, path);
-    read_col_v2(is, c.rank, rows, path);
-    read_col_v2(is, c.node, rows, path);
-    read_col_v2(is, c.iface, rows, path);
-    read_col_v2(is, c.op, rows, path);
-    read_col_v2(is, c.fs, rows, path);
-    read_col_v2(is, c.file, rows, path);
-    read_col_v2(is, c.offset, rows, path);
-    read_col_v2(is, c.size, rows, path);
-    read_col_v2(is, c.count, rows, path);
-    read_col_v2(is, c.tstart, rows, path);
-    read_col_v2(is, c.tend, rows, path);
-    if (aux) {
-      read_col_v2(is, c.path_idx, rows, path);
-      read_col_v2(is, c.file_size, rows, path);
+  Columns::for_each(data->cols, aux, [&](auto& col, Col) {
+    if (v2) {
+      read_col_v2(in, col, rows);
+    } else {
+      read_col_raw(in, col, rows);
     }
-  } else {
-    read_col_raw(is, c.app, rows);
-    read_col_raw(is, c.rank, rows);
-    read_col_raw(is, c.node, rows);
-    read_col_raw(is, c.iface, rows);
-    read_col_raw(is, c.op, rows);
-    read_col_raw(is, c.fs, rows);
-    read_col_raw(is, c.file, rows);
-    read_col_raw(is, c.offset, rows);
-    read_col_raw(is, c.size, rows);
-    read_col_raw(is, c.count, rows);
-    read_col_raw(is, c.tstart, rows);
-    read_col_raw(is, c.tend, rows);
-    if (aux) {
-      read_col_raw(is, c.path_idx, rows);
-      read_col_raw(is, c.file_size, rows);
-    }
-  }
-  WASP_CHECK_MSG(is.good(), "truncated spill chunk: " + path);
+  });
+  WASP_CHECK_MSG(in.p == in.end, "trailing bytes in spill chunk: " + path);
 
   loads_.add(1);
-  bytes_read_.add(static_cast<std::uint64_t>(is.tellg()));
+  bytes_read_.add(file.size());
   const std::size_t now =
       residency_->resident.fetch_add(1, std::memory_order_relaxed) + 1;
   // Only arm the destructor's decrement once the increment happened — a
@@ -559,7 +624,7 @@ SpillColumnStore::acquire_chunk(std::size_t index, bool for_prefetch) const {
 }
 
 void SpillColumnStore::maybe_schedule_prefetch(std::size_t just_served) const {
-  if (!prefetch_thread_.joinable()) return;
+  if (!prefetching_) return;
   bool sequential;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -569,32 +634,10 @@ void SpillColumnStore::maybe_schedule_prefetch(std::size_t just_served) const {
   }
   if (!sequential || just_served + 1 >= chunks_written_) return;
   {
-    std::lock_guard<std::mutex> lock(pf_mu_);
+    std::lock_guard<std::mutex> lock(io_mu_);
     pf_target_ = just_served + 1;
   }
-  pf_cv_.notify_one();
-}
-
-void SpillColumnStore::prefetch_loop() {
-  if (obs::SpanTracer::instance().enabled()) {
-    obs::SpanTracer::instance().set_thread_name("spill-prefetch");
-  }
-  for (;;) {
-    std::size_t target;
-    {
-      std::unique_lock<std::mutex> lock(pf_mu_);
-      pf_cv_.wait(lock, [this] { return pf_stop_ || pf_target_ != kNoChunk; });
-      if (pf_stop_) return;
-      target = pf_target_;
-      pf_target_ = kNoChunk;
-    }
-    try {
-      (void)acquire_chunk(target, /*for_prefetch=*/true);
-    } catch (const std::exception&) {
-      // Corrupt/unreadable chunk: drop it here — the demand load will
-      // surface the error on the caller's thread.
-    }
-  }
+  io_cv_.notify_all();
 }
 
 ChunkColumns SpillColumnStore::view_of(const ChunkData& data,

@@ -1,25 +1,36 @@
 // SpillColumnStore — the spill-to-disk TraceStore backend (the on-disk
 // parquet stand-in). Records append in trace order; every chunk_rows rows
-// the open chunk's columns are written to one versioned chunk file in the
-// spill directory and dropped from memory, so writing a trace of any length
-// holds at most one open chunk. Reads load chunk files on demand into a
-// bounded LRU cache of resident chunks.
+// the open chunk is sealed and written to one versioned chunk file in the
+// spill directory. Reads load chunk files on demand into a bounded LRU
+// cache of resident chunks.
 //
 // Chunk files are WSPCHK02 by default: each column is compressed
 // independently (varint zigzag delta / RLE / raw, whichever is smallest —
-// see chunk_codec.hpp). Options::compress = false writes the legacy raw
+// see chunk_codec.hpp). The codec sizes both payloads in one pass, encodes
+// the winner once into a reused buffer, and the whole chunk file goes to
+// disk in one write. Options::compress = false writes the legacy raw
 // WSPCHK01 layout; load_chunk reads both formats, so mixed directories
 // from older runs stay readable.
 //
-// Concurrency: the cache mutex is never held across a disk read. A miss
-// registers an in-flight future under the lock, loads and decodes the
+// Background thread: one per store, started when the first chunk is
+// sealed. During ingest it encodes and writes sealed chunks while the
+// caller keeps appending: the open and sealed column sets are swapped, not
+// copied, and at most one sealed chunk is in flight (the caller waits for
+// the slot). finalize() drains the writer; the same thread then serves
+// read-ahead. A write failure is rethrown from the next append() or from
+// finalize() with the partial chunk removed.
+//
+// Concurrency (reads): the cache mutex is never held across a disk read. A
+// miss registers an in-flight future under the lock, loads and decodes the
 // chunk off-lock, then publishes it; concurrent readers of the same chunk
 // share the one load instead of stampeding, and readers of other chunks
-// proceed in parallel. On sequential scans a background prefetch thread
+// proceed in parallel. On sequential scans the background thread
 // double-buffers: while the analyzer consumes chunk k, chunk k+1 is read
 // and decoded so the next fetch is a cache hit.
 //
-// Memory bound: with K = max_resident_chunks and W concurrent cursors, at
+// Memory bound, write side: one open plus one sealed chunk of columns
+// (their capacity is reused across chunks), plus one encoded chunk buffer.
+// Read side: with K = max_resident_chunks and W concurrent cursors, at
 // most K cached/in-flight chunks plus one buffer per cursor (a pin or an
 // in-flight demand load — never both) plus the one prefetch buffer are
 // alive: resident rows <= chunk_rows * (K + W + 1); a single-cursor scan
@@ -35,6 +46,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <limits>
 #include <list>
@@ -75,7 +87,8 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   SpillColumnStore(const SpillColumnStore&) = delete;
   SpillColumnStore& operator=(const SpillColumnStore&) = delete;
 
-  // --- Write side (single-threaded, before finalize) ----------------------
+  // --- Write side (one caller thread, before finalize) --------------------
+  /// Rethrows an earlier background write failure.
   void append(std::span<const trace::Record> records) override;
   /// Append with the offline log's auxiliary columns (parallel spans). A
   /// store is either aux or non-aux for its whole life — the first append
@@ -83,8 +96,9 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   void append(std::span<const trace::Record> records,
               std::span<const std::uint32_t> path_idx,
               std::span<const std::uint64_t> file_sizes);
-  /// Flush the partial tail chunk and seal the store for reading (this is
-  /// also where the prefetch thread starts). Required before
+  /// Write the partial tail chunk, wait for every chunk file to land, and
+  /// seal the store for reading (the background thread turns to
+  /// prefetch). Rethrows a background write failure. Required before
   /// chunk()/row(); append() afterwards is an error.
   void finalize();
   bool finalized() const noexcept { return finalized_; }
@@ -101,6 +115,7 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
     return chunk(row / opts_.chunk_rows);
   }
   std::int16_t max_fs() const override { return max_fs_; }
+  /// Write-side figures are complete once finalize() returned.
   IoStats io_stats() const override;
 
   // --- Auxiliary columns --------------------------------------------------
@@ -128,6 +143,13 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   bool chunk_cached(std::size_t index) const;
 
  private:
+  /// Column ids in chunk-file declaration order (stats indexing).
+  enum Col : std::size_t {
+    kColApp, kColRank, kColNode, kColIface, kColOp, kColFs, kColFile,
+    kColOffset, kColSize, kColCount, kColTstart, kColTend, kColPathIdx,
+    kColFileSize, kNumCols,
+  };
+
   struct Columns {
     std::vector<std::uint16_t> app;
     std::vector<std::int32_t> rank;
@@ -144,13 +166,10 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
     std::vector<std::uint32_t> path_idx;   // aux, empty when absent
     std::vector<std::uint64_t> file_size;  // aux, empty when absent
     std::size_t rows() const noexcept { return app.size(); }
-  };
-
-  /// Column ids in chunk-file declaration order (stats indexing).
-  enum Col : std::size_t {
-    kColApp, kColRank, kColNode, kColIface, kColOp, kColFs, kColFile,
-    kColOffset, kColSize, kColCount, kColTstart, kColTend, kColPathIdx,
-    kColFileSize, kNumCols,
+    /// f(column, id) for every column of `c` in chunk-file order; the aux
+    /// pair only when `aux`.
+    template <typename Self, typename F>
+    static void for_each(Self& c, bool aux, F&& f);
   };
 
   /// Alive-chunk accounting, shared with every loaded chunk so buffers that
@@ -181,11 +200,19 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   static constexpr std::size_t kNoChunk =
       std::numeric_limits<std::size_t>::max();
 
-  void push_row(const trace::Record& r);
-  void maybe_flush();
-  void flush_open_chunk();
-  template <typename T>
-  void write_col_v2(std::ostream& os, const std::vector<T>& col, Col id);
+  /// The first append decides whether the store carries aux columns.
+  void decide_aux(bool aux);
+  void append_rows(std::span<const trace::Record> records,
+                   const std::uint32_t* path_idx,
+                   const std::uint64_t* file_sizes);
+  /// Hand the full open chunk to the background writer (starting it on the
+  /// first call); waits while the previous sealed chunk is still in flight.
+  void seal_open_chunk();
+  /// Serialize `cols` as chunk `index` and write the file; throws SimError
+  /// (partial file removed) on failure.
+  void write_chunk(const Columns& cols, std::size_t index);
+  void io_loop();
+  void stop_io_thread();
   std::shared_ptr<const ChunkData> load_chunk(std::size_t index) const;
   /// Cache lookup / shared in-flight wait / off-lock load. Returns null
   /// only on the prefetch path when the chunk is already cached or being
@@ -196,7 +223,6 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   void make_room_locked() const;
   void evict_lru_back_locked() const;
   void maybe_schedule_prefetch(std::size_t just_served) const;
-  void prefetch_loop();
   ChunkColumns view_of(const ChunkData& data, std::size_t base) const;
 
   Options opts_;
@@ -205,12 +231,16 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   bool aux_decided_ = false;
   bool finalized_ = false;
   std::size_t total_rows_ = 0;
+  /// Chunks sealed so far (written, or in flight to the writer).
   std::size_t chunks_written_ = 0;
   std::int16_t max_fs_ = -1;
-  Columns open_;
+  Columns open_;    ///< filled by the caller
+  Columns sealed_;  ///< written by the background thread while pending
+  std::vector<std::uint8_t> chunk_buf_;  ///< encoded chunk file (writer)
 
-  // Write-side per-column stats (single writer thread, read only after
-  // finalize). The byte totals live in CounterCells below.
+  // Write-side per-column stats (updated by whichever thread writes a
+  // chunk, read only after finalize). The byte totals live in CounterCells
+  // below.
   std::uint64_t col_raw_[kNumCols] = {};
   std::uint64_t col_stored_[kNumCols] = {};
 
@@ -221,14 +251,21 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   mutable std::unordered_map<std::size_t, Inflight> inflight_;
   mutable std::size_t last_seq_chunk_ = kNoChunk;  // guarded by mu_
 
-  // Prefetch thread state. pf_target_ holds at most the single next chunk
-  // (newer sequential progress overwrites it — double buffering, not a
-  // queue).
-  std::thread prefetch_thread_;
-  mutable std::mutex pf_mu_;
-  mutable std::condition_variable pf_cv_;
+  // Background thread state, all guarded by io_mu_. During ingest
+  // sealed_pending_ hands sealed_ (chunk sealed_index_) to the writer;
+  // after finalize pf_target_ holds at most the single next chunk to read
+  // ahead (newer sequential progress overwrites it — double buffering, not
+  // a queue). io_thread_ itself is the last member.
+  mutable std::mutex io_mu_;
+  mutable std::condition_variable io_cv_;
+  bool sealed_pending_ = false;
+  std::size_t sealed_index_ = 0;
+  std::exception_ptr write_error_;
+  bool io_stop_ = false;
   mutable std::size_t pf_target_ = kNoChunk;
-  bool pf_stop_ = false;
+  /// Set by finalize() when the background thread turns to read-ahead.
+  /// Readers check it without the lock: it is written before they run.
+  bool prefetching_ = false;
 
   // I/O counters as registry cells: every increment lands in this
   // instance's cell — io_stats() and the accessors above read the cell
@@ -243,6 +280,9 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
   mutable obs::CounterCell bytes_read_{"spill.bytes_read"};
   obs::CounterCell bytes_written_{"spill.bytes_written"};
   obs::CounterCell raw_bytes_{"spill.raw_bytes"};
+
+  /// Declared after everything the background thread touches.
+  std::thread io_thread_;
 };
 
 }  // namespace wasp::analysis

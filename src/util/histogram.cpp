@@ -62,8 +62,12 @@ Bytes SizeHistogram::total_bytes() const noexcept {
 
 std::string SizeHistogram::bucket_label(std::size_t bucket) const {
   WASP_CHECK(bucket < counts_.size());
-  if (bucket < edges_.size()) return "<" + format_bytes(edges_[bucket]);
-  return ">=" + format_bytes(edges_.back());
+  // Appends rather than operator+: GCC 12 raises a -Wrestrict false
+  // positive on "<" + std::string at -O3.
+  std::string label = bucket < edges_.size() ? "<" : ">=";
+  label += format_bytes(bucket < edges_.size() ? edges_[bucket]
+                                               : edges_.back());
+  return label;
 }
 
 void SizeHistogram::merge(const SizeHistogram& other) {

@@ -439,6 +439,203 @@ TEST(SpillStore, CompressedAndRawChunksDecodeIdentically) {
   }
 }
 
+/// A fixed trace whose columns exercise every chunk encoding and both
+/// tie-breaks: long runs (app: RLE), runs of two (node: delta and RLE tie,
+/// delta wins), random one-byte enums (op: delta ties raw, raw wins),
+/// sequential segments (offset, count: delta/RLE), monotone times (delta)
+/// and random sizes (raw).
+std::vector<trace::Record> golden_records(std::size_t n) {
+  auto records = synthetic_records(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& r = records[i];
+    r.app = static_cast<std::uint16_t>((i / 3001) % 4);
+    r.node = static_cast<std::int32_t>(((i / 2) % 2) * 3 + 1);
+    if ((i / 500) % 2 == 0) {
+      r.iface = static_cast<trace::Iface>((i / 7) % 3);
+      r.offset = (i % 500) * 4096;
+      r.count = 1;
+    }
+  }
+  return records;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Chunk files are a persistent format: every chunk file the store writes
+// for a fixed trace must match the committed digests byte for byte, at
+// several chunkings, with and without the aux columns.
+TEST(SpillStore, ChunkFilesMatchGoldenDigests) {
+  struct Golden {
+    std::size_t chunk_rows;
+    bool aux;
+    std::size_t chunks;
+    std::uint64_t bytes;
+    std::uint64_t digest;  ///< FNV-1a over all chunk files, in chunk order
+  };
+  const Golden golden[] = {
+      {65536, false, 3, 2715512, 0x6e9b7833fc8894c8},
+      {65536, true, 3, 3265936, 0x459a7944b749375a},
+      {1000, false, 136, 2734989, 0x3b8d8e0bbe31abd2},
+      {1000, true, 136, 3288107, 0xedbbc6f8b93fa96b},
+      {97, false, 1396, 2847827, 0xdc48db177e143b59},
+      {97, true, 1396, 3426537, 0x740c71cf24afcebd},
+  };
+  const auto records = golden_records(2 * 65536 + 4321);
+  std::vector<std::uint32_t> path_idx(records.size());
+  std::vector<std::uint64_t> file_sizes(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    path_idx[i] = records[i].file.file % 97;
+    file_sizes[i] = (1ull << 30) + path_idx[i] * 4096;
+  }
+  for (const Golden& g : golden) {
+    SCOPED_TRACE("chunk_rows " + std::to_string(g.chunk_rows) +
+                 (g.aux ? " aux" : ""));
+    analysis::SpillColumnStore store({.dir = spill_dir("golden.spill"),
+                                      .chunk_rows = g.chunk_rows,
+                                      .prefetch = false});
+    // Uneven batches, so batch and chunk boundaries never line up.
+    for (std::size_t pos = 0; pos < records.size(); pos += 4099) {
+      const std::size_t n = std::min<std::size_t>(4099, records.size() - pos);
+      const std::span<const trace::Record> batch(records.data() + pos, n);
+      if (g.aux) {
+        store.append(batch, {path_idx.data() + pos, n},
+                     {file_sizes.data() + pos, n});
+      } else {
+        store.append(batch);
+      }
+    }
+    store.finalize();
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::uint64_t bytes = 0;
+    for (std::size_t c = 0; c < store.spilled_chunks(); ++c) {
+      std::ifstream in(store.chunk_file_path(c), std::ios::binary);
+      const std::string file((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+      digest = fnv1a(digest, file);
+      bytes += file.size();
+    }
+    EXPECT_EQ(store.spilled_chunks(), g.chunks);
+    EXPECT_EQ(bytes, g.bytes);
+    EXPECT_EQ(store.io_stats().bytes_written, g.bytes);
+    EXPECT_EQ(digest, g.digest) << std::hex << "digest 0x" << digest;
+  }
+}
+
+/// Append a native-endian u64 to a hand-built chunk file.
+void put_u64(std::string& out, std::uint64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// A WSPCHK02 chunk of `rows` rows: the app column RLE-encoded as one run
+/// of `app`, every other column raw zeros.
+std::string hand_built_chunk(std::size_t rows, std::uint64_t app) {
+  std::string f = "WSPCHK02";
+  put_u64(f, 2);
+  put_u64(f, rows);
+  put_u64(f, 0);  // no aux columns
+  std::string rle;
+  for (std::uint64_t v : {std::uint64_t{rows}, app}) {
+    while (v >= 0x80) {
+      rle.push_back(static_cast<char>((v & 0x7f) | 0x80));
+      v >>= 7;
+    }
+    rle.push_back(static_cast<char>(v));
+  }
+  f.push_back(2);  // kRle
+  put_u64(f, rle.size());
+  f += rle;
+  // rank node iface op fs file offset size count tstart tend
+  for (std::size_t width : {4, 4, 1, 1, 2, 8, 8, 8, 4, 8, 8}) {
+    f.push_back(0);  // kRaw
+    put_u64(f, rows * width);
+    f.append(rows * width, '\0');
+  }
+  return f;
+}
+
+// A decoded value that does not fit its column type is corruption: 70000 in
+// the uint16 app column must be rejected with the chunk's path, not loaded
+// truncated to 4464. So are bytes after the last column.
+TEST(SpillStore, HandBuiltCorruptChunksRejected) {
+  const auto records = synthetic_records(300);
+  analysis::SpillColumnStore store({.dir = spill_dir("range.spill"),
+                                    .chunk_rows = 100,
+                                    .max_resident_chunks = 1,
+                                    .prefetch = false});
+  store.append(records);
+  store.finalize();
+  const std::string victim = store.chunk_file_path(1);
+  const auto overwrite = [&](const std::string& bytes) {
+    std::ofstream out(victim, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  };
+  // Control: the hand-built layout itself loads when the value fits.
+  overwrite(hand_built_chunk(100, 7));
+  EXPECT_EQ(store.row(150).app, 7);
+  EXPECT_EQ(store.row(150).tend, 0u);
+  (void)store.row(0);  // evict chunk 1 (one resident chunk)
+
+  overwrite(hand_built_chunk(100, 70000));
+  try {
+    (void)store.row(150);
+    FAIL() << "loaded an out-of-range app value";
+  } catch (const util::SimError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(victim), std::string::npos) << msg;
+  }
+  EXPECT_TRUE(store.row(250) == records[250]);
+
+  overwrite(hand_built_chunk(100, 7) + '\0');
+  EXPECT_THROW(store.row(150), util::SimError);
+}
+
+// Chunks are written by the store's background thread while appends go on.
+// A disk error on a non-final chunk must surface from append() or
+// finalize() with the usual diagnostic, the partial chunk removed, and the
+// store must still destruct promptly.
+TEST(SpillStore, WriterFailureSurfacesAndRemovesPartialChunk) {
+  std::error_code ec;
+  if (!std::filesystem::is_character_file("/dev/full", ec)) {
+    GTEST_SKIP() << "/dev/full not available";
+  }
+  const auto records = synthetic_records(1000);
+  {
+    analysis::SpillColumnStore store({.dir = spill_dir("writer_fail.spill"),
+                                      .chunk_rows = 100});
+    const std::string victim = store.chunk_file_path(3);
+    std::filesystem::create_symlink("/dev/full", victim);
+    std::string msg;
+    try {
+      for (std::size_t pos = 0; pos < records.size(); pos += 30) {
+        const std::size_t n = std::min<std::size_t>(30, records.size() - pos);
+        store.append(std::span<const trace::Record>(records.data() + pos, n));
+      }
+      store.finalize();
+      FAIL() << "chunk write to /dev/full succeeded";
+    } catch (const util::SimError& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find("short write to spill chunk"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("expected"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(victim), std::string::npos) << msg;
+    // The failure is sticky: the store cannot be sealed for reading.
+    if (!store.finalized()) {
+      EXPECT_THROW(store.finalize(), util::SimError);
+    }
+    EXPECT_FALSE(
+        std::filesystem::exists(std::filesystem::symlink_status(victim)));
+  }
+  EXPECT_TRUE(std::filesystem::is_character_file("/dev/full"));
+}
+
 // The background prefetcher must turn a sequential chunk scan into cache
 // hits. Polling chunk_cached() makes the assertion deterministic even on a
 // single-CPU machine.
@@ -544,6 +741,45 @@ TEST(SpillStoreStress, ConcurrentCursorsTinyCache) {
   EXPECT_LE(store.peak_resident_chunks(),
             1u + static_cast<std::size_t>(kThreads) + 1u);
   EXPECT_GT(store.chunk_evictions(), 0u);
+}
+
+// The background writer under churn: single-row appends into three-row
+// chunks hand a sealed chunk over on every third row, and stores destroyed
+// mid-ingest must join the writer and clean up. Runs under the "sanitize"
+// label in the WASP_SANITIZE=thread build.
+TEST(SpillStoreStress, WriterOverlapsTinyChunks) {
+  const auto records = synthetic_records(3001);
+  std::vector<std::uint32_t> path_idx(records.size());
+  std::vector<std::uint64_t> file_sizes(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    path_idx[i] = static_cast<std::uint32_t>(i % 13);
+    file_sizes[i] = i * 7;
+  }
+  {
+    analysis::SpillColumnStore store({.dir = spill_dir("writer_churn.spill"),
+                                      .chunk_rows = 3,
+                                      .max_resident_chunks = 2});
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      store.append({&records[i], 1}, {&path_idx[i], 1}, {&file_sizes[i], 1});
+    }
+    store.finalize();
+    ASSERT_EQ(store.spilled_chunks(), 1001u);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      ASSERT_TRUE(store.row(i) == records[i]) << "row " << i;
+      ASSERT_EQ(store.path_idx_at(i), path_idx[i]) << "row " << i;
+      ASSERT_EQ(store.file_size_at(i), file_sizes[i]) << "row " << i;
+    }
+  }
+  for (std::size_t rows : {4u, 50u, 301u, 2000u}) {
+    std::string dir;
+    {
+      analysis::SpillColumnStore store({.dir = spill_dir("writer_drop.spill"),
+                                        .chunk_rows = 3});
+      dir = store.spill_dir();
+      store.append(std::span<const trace::Record>(records.data(), rows));
+    }  // destroyed without finalize()
+    EXPECT_FALSE(std::filesystem::exists(dir)) << rows << " rows";
+  }
 }
 
 // Scale test (off by default; opt in with `ctest -C scale -L scale` or
