@@ -5,8 +5,8 @@
 // and — per phase — the exact op sequence (opens, transfers, seeks, compute
 // spans, barriers, loops) each lane performs. Workload models *compile*
 // their parameters + RunConfig into a JobPattern; a generic Replayer (see
-// replayer.hpp) drives the pattern through the existing io:: layers so the
-// resulting trace is byte-identical to the hand-written imperative model.
+// replayer.hpp) drives the pattern through the existing io:: layers. The
+// pattern is a workload's only executable form.
 //
 // The IR is the what-if surface: advisor optimizations (§IV-D) become pure
 // IR->IR rewrites (advisor/pattern_rewrites.hpp), and patterns round-trip

@@ -544,8 +544,7 @@ sim::Task<void> dag_driver(std::shared_ptr<RunState> st) {
 
 void replay(runtime::Simulation& sim, const JobPattern& pat) {
   // A pattern-borne fault plan installs here unless the runner already
-  // installed one (RunConfig.faults wins, keeping the equivalence oracle
-  // comparable: pattern path and imperative path see the same injector).
+  // installed one: RunConfig.faults wins, so a run has one injector.
   if (pat.faults.enabled() && sim.faults() == nullptr) {
     sim.install_faults(pat.faults);
   }

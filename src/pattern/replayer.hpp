@@ -1,8 +1,9 @@
 // Generic pattern replayer: drives a JobPattern through the existing io::
 // interface layers (Posix/Stdio/MpiIo/Hdf5/CompressedPosix) and the
-// workflow DAG engine, producing the same engine-visible event sequence —
-// and therefore a byte-identical trace — as the imperative workload model
-// the pattern was compiled from.
+// workflow DAG engine. The order in which lanes issue ops is part of the
+// contract: the committed golden rows (tests/pattern_golden.hpp) pin each
+// workload's exact trace and engine event count, so a reordering shows up
+// there.
 #pragma once
 
 #include "pattern/pattern.hpp"

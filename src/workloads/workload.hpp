@@ -24,8 +24,8 @@ struct Workload {
   charz::WorkloadDecl decl;
   /// Stage input datasets (runs untraced before t=0 of the job).
   std::function<sim::Task<void>(runtime::Simulation&)> setup;
-  /// Spawn all job processes into the engine. For the ported models this is
-  /// compile + pattern::replay.
+  /// Spawn all job processes into the engine. For the registry workloads this
+  /// is compile + pattern::replay.
   std::function<void(runtime::Simulation&, const advisor::RunConfig&)> launch;
   /// Compile params + RunConfig into the declarative pattern IR (null when
   /// the model has no pattern compiler). Takes the Simulation because file
@@ -33,11 +33,6 @@ struct Workload {
   std::function<pattern::JobPattern(runtime::Simulation&,
                                     const advisor::RunConfig&)>
       compile;
-  /// The original imperative launch path, kept as the equivalence oracle:
-  /// replaying `compile`'s pattern must produce a byte-identical trace
-  /// (tests/test_pattern_equivalence.cpp).
-  std::function<void(runtime::Simulation&, const advisor::RunConfig&)>
-      launch_reference;
 };
 
 struct RunOutput {

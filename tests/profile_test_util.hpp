@@ -7,9 +7,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 #include "analysis/analyzer.hpp"
 
 namespace wasp::testutil {
+
+/// FNV-1a 64 offset basis: the starting state of a golden digest.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// Fold `bytes` into the FNV-1a 64 state `h` (golden digests of persisted
+/// formats and replayed runs).
+inline std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 inline void expect_ops_identical(const analysis::OpsBreakdown& a,
                                  const analysis::OpsBreakdown& b) {

@@ -3,8 +3,8 @@
 //
 // The contract under test: the same FaultPlan seed yields byte-identical
 // traces and bit-identical profiles across scenario-runner job counts,
-// trace-store backends, the pattern-vs-imperative launch paths, and
-// reruns — faults perturb the simulated run, never the determinism. The
+// trace-store backends and reruns, and the faulted HACC run matches its
+// golden row — faults perturb the simulated run, never the determinism. The
 // degradation half covers real disk errors: a full disk during spill or
 // trace-log write must surface one diagnosed SimError and leave no
 // truncated files behind.
@@ -20,6 +20,7 @@
 
 #include "analysis/spill_store.hpp"
 #include "pattern/pattern.hpp"
+#include "pattern_golden.hpp"
 #include "profile_test_util.hpp"
 #include "sim/faults.hpp"
 #include "trace/log_io.hpp"
@@ -221,27 +222,14 @@ TEST(FaultDeterminism, CapacityClampSurfacesAsEnospc) {
   EXPECT_GT(sim.faults()->stats().enospc_errors, 0u);
 }
 
-// ---- FaultEquivalence: pattern replay == imperative oracle ---------------
+// ---- FaultEquivalence: the faulted replay matches its golden row ---------
 
 TEST(FaultEquivalence, PatternAndReferenceTracesIdenticalUnderFaults) {
-  const auto entry = hacc_entry();
-  const auto traced = [&](bool reference) {
-    auto w = entry.make_test();
-    if (reference) {
-      EXPECT_TRUE(static_cast<bool>(w.launch_reference));
-      w.launch = w.launch_reference;
-    }
-    runtime::Simulation sim(test_cluster());
-    workloads::run_with(sim, w, faulted_cfg(), analysis::Analyzer::Options{});
-    EXPECT_GT(sim.faults()->stats().total_injected(), 0u);
-    return sim.tracer().records();
-  };
-  const auto replayed = traced(false);
-  const auto oracle = traced(true);
-  ASSERT_EQ(replayed.size(), oracle.size());
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    ASSERT_TRUE(replayed[i] == oracle[i]) << "record " << i << " diverges";
-  }
+  runtime::Simulation sim(testutil::golden_cluster());
+  const auto row = testutil::observe("hacc-fpp-faults", sim,
+                                     hacc_entry().make_test(), faulted_cfg());
+  EXPECT_GT(sim.faults()->stats().total_injected(), 0u);
+  testutil::expect_golden(row);
 }
 
 TEST(FaultEquivalence, PlanRoundTripsThroughPatternYaml) {
@@ -421,6 +409,26 @@ TEST(CliParseDeathTest, CorruptInputExitsOneWithDiagnostic) {
               ::testing::ExitedWithCode(1), "wasp_advise: ");
   EXPECT_EXIT(exec_tool(WASP_ADVISE_BIN, {temp_path("no_such.yaml")}),
               ::testing::ExitedWithCode(1), "wasp_advise: ");
+
+  const std::string manifest = temp_path("cli_truncated.manifest.json");
+  std::ofstream(manifest) << "{\"schema\": \"wasp-run-manifest-v1\", \"metr";
+  EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"summarize", manifest}),
+              ::testing::ExitedWithCode(1), "wasp_report: ");
+  EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"summarize", yaml}),
+              ::testing::ExitedWithCode(1), "wasp_report: ");
+  // Usage errors keep exit 2.
+  EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"summarize"}),
+              ::testing::ExitedWithCode(2), "usage");
+
+  const std::string pattern = temp_path("cli_corrupt.pattern.yaml");
+  std::ofstream(pattern) << "name: hacc-fpp\ngroups:\n  - comm: [oops\n";
+  EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN,
+                        {"replay", pattern, "--test-scale", "--nodes", "4"}),
+              ::testing::ExitedWithCode(1), "wasp_pattern: ");
+  // A bad flag value is a usage error (it used to escape as an abort).
+  EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN,
+                        {"whatif", "hacc-fpp", "--interface", "bogus"}),
+              ::testing::ExitedWithCode(2), "wasp_pattern: .*unknown layer");
 }
 
 }  // namespace

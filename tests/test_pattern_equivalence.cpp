@@ -1,8 +1,8 @@
 // The pattern compilers' contract: replaying a compiled JobPattern through
-// the generic replayer produces a trace byte-identical to the original
-// hand-written imperative launch (kept as `launch_reference`), and
-// therefore identical profiles — across workloads, run configs, trace
-// backends, and scenario-runner job counts.
+// the generic replayer reproduces the committed golden row of each pinned
+// configuration (tests/pattern_golden.hpp) — the exact trace, app list,
+// engine event count, job seconds and characterization — across workloads,
+// run configs, trace backends, and scenario-runner job counts.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,123 +10,81 @@
 
 #include "advisor/pattern_rewrites.hpp"
 #include "pattern/replayer.hpp"
+#include "pattern_golden.hpp"
 #include "workloads/ior.hpp"
 #include "workloads/registry.hpp"
 
 namespace wasp::workloads {
 namespace {
 
-cluster::ClusterSpec test_cluster(int nodes = 4) {
-  auto spec = cluster::lassen(nodes);
-  spec.node.cpu_cores = 8;
-  return spec;
-}
+using testutil::golden_cluster;
 
-/// The same workload with the imperative oracle as its launch path.
-Workload reference_of(Workload w) {
-  EXPECT_TRUE(static_cast<bool>(w.launch_reference));
-  w.launch = w.launch_reference;
-  return w;
-}
-
-struct TracedRun {
-  RunOutput out;
-  std::vector<trace::Record> records;
-  std::vector<std::string> apps;
-};
-
-TracedRun traced_run(const Workload& w, const advisor::RunConfig& cfg) {
-  runtime::Simulation sim(test_cluster());
-  TracedRun r;
-  r.out = run_with(sim, w, cfg, analysis::Analyzer::Options{});
-  r.records = sim.tracer().records();
-  for (std::size_t a = 0; a < sim.tracer().num_apps(); ++a) {
-    r.apps.push_back(sim.tracer().app_name(static_cast<std::uint16_t>(a)));
-  }
-  return r;
-}
-
-void expect_byte_identical(const Workload& w, const advisor::RunConfig& cfg) {
-  const TracedRun replayed = traced_run(w, cfg);
-  const TracedRun reference = traced_run(reference_of(w), cfg);
-  EXPECT_EQ(replayed.apps, reference.apps);
-  ASSERT_EQ(replayed.records.size(), reference.records.size());
-  for (std::size_t i = 0; i < reference.records.size(); ++i) {
-    if (!(replayed.records[i] == reference.records[i])) {
-      const auto& a = replayed.records[i];
-      const auto& b = reference.records[i];
-      FAIL() << "record " << i << " diverges: replay(app=" << a.app
-             << " rank=" << a.rank << " op=" << static_cast<int>(a.op)
-             << " off=" << a.offset << " size=" << a.size
-             << " count=" << a.count << " t=" << a.tstart << ".." << a.tend
-             << ") vs reference(app=" << b.app << " rank=" << b.rank
-             << " op=" << static_cast<int>(b.op) << " off=" << b.offset
-             << " size=" << b.size << " count=" << b.count << " t="
-             << b.tstart << ".." << b.tend << ")";
-    }
-  }
-  EXPECT_EQ(replayed.out.job_seconds, reference.out.job_seconds);
-  EXPECT_EQ(replayed.out.engine_events, reference.out.engine_events);
-  EXPECT_EQ(replayed.out.characterization.to_yaml(),
-            reference.out.characterization.to_yaml());
+/// Replay `w` under `cfg` and assert the run matches golden row `config`.
+void expect_golden(const std::string& config, const Workload& w,
+                   const advisor::RunConfig& cfg) {
+  runtime::Simulation sim(golden_cluster());
+  testutil::expect_golden(testutil::observe(config, sim, w, cfg));
 }
 
 TEST(PatternEquivalence, AllSixWorkloadsBaselineConfig) {
   for (const auto& entry : paper_workloads()) {
     SCOPED_TRACE(entry.id);
-    expect_byte_identical(entry.make_test(), advisor::RunConfig{});
+    expect_golden(entry.id, entry.make_test(), advisor::RunConfig{});
   }
 }
 
 TEST(PatternEquivalence, IorBenchmark) {
-  expect_byte_identical(make_ior(IorParams::test()), advisor::RunConfig{});
+  expect_golden("ior", make_ior(IorParams::test()), advisor::RunConfig{});
   auto P = IorParams::test();
   P.file_per_process = false;
   P.read_back = true;
-  expect_byte_identical(make_ior(P), advisor::RunConfig{});
+  expect_golden("ior-shared-readback", make_ior(P), advisor::RunConfig{});
 }
 
-// The compilers consume the RunConfig, so equivalence must survive the
-// advisor's knobs (§IV-D) too — each workload with the configuration its
-// case study turns on.
+// The compilers consume the RunConfig, so the goldens pin the advisor's
+// knobs (§IV-D) too — each workload with the configuration its case study
+// turns on.
 TEST(PatternEquivalence, HaccCompressedAsyncDrain) {
   advisor::RunConfig cfg;
   cfg.compress_checkpoints = true;
   cfg.compress_on_gpu = true;
   cfg.async_checkpoint_drain = true;
-  expect_byte_identical(make_hacc(HaccParams::test()), cfg);
+  expect_golden("hacc-fpp-compressed-async-drain",
+                make_hacc(HaccParams::test()), cfg);
 }
 
 TEST(PatternEquivalence, CosmoflowChunkedAndPreloaded) {
   advisor::RunConfig cfg;
   cfg.hdf5_chunking = true;
   cfg.preload_input_to_node_local = true;
-  expect_byte_identical(make_cosmoflow(CosmoflowParams::test()), cfg);
+  expect_golden("cosmoflow-chunked-preloaded",
+                make_cosmoflow(CosmoflowParams::test()), cfg);
 }
 
 TEST(PatternEquivalence, JagLargeStdioBuffer) {
   advisor::RunConfig cfg;
   cfg.stdio_buffer = util::kMiB;
-  expect_byte_identical(make_jag(JagParams::test()), cfg);
+  expect_golden("jag-stdio-1mib", make_jag(JagParams::test()), cfg);
 }
 
 TEST(PatternEquivalence, MontageMpiShmIntermediates) {
   advisor::RunConfig cfg;
   cfg.intermediates_to_node_local = true;
   cfg.stdio_buffer = 64 * util::kKiB;
-  expect_byte_identical(make_montage_mpi(MontageMpiParams::test()), cfg);
+  expect_golden("montage-mpi-shm-intermediates",
+                make_montage_mpi(MontageMpiParams::test()), cfg);
 }
 
 TEST(PatternEquivalence, MontagePegasusLocalityAware) {
   advisor::RunConfig cfg;
   cfg.locality_aware_placement = true;
   cfg.stdio_buffer = 64 * util::kKiB;
-  expect_byte_identical(make_montage_pegasus(MontagePegasusParams::test()),
-                        cfg);
+  expect_golden("montage-pegasus-locality-aware",
+                make_montage_pegasus(MontagePegasusParams::test()), cfg);
 }
 
 // Replayed runs through the spill-to-disk trace backend must match the
-// in-memory reference profile (the backends are profile-identical by
+// in-memory golden profile (the backends are profile-identical by
 // contract; the replayer must not disturb that).
 TEST(PatternEquivalence, SpillBackendMatchesReferenceProfile) {
   runtime::SpillPolicy policy;
@@ -135,26 +93,27 @@ TEST(PatternEquivalence, SpillBackendMatchesReferenceProfile) {
   policy.max_resident_chunks = 2;
   for (const auto& entry : {paper_workloads()[1], paper_workloads()[4]}) {
     SCOPED_TRACE(entry.id);
-    runtime::Simulation spill_sim(test_cluster());
+    runtime::Simulation spill_sim(golden_cluster());
     auto spilled = run_spilled(spill_sim, entry.make_test(),
                                advisor::RunConfig{},
                                analysis::Analyzer::Options{}, policy,
                                entry.id);
-    auto reference = run(test_cluster(), reference_of(entry.make_test()));
-    EXPECT_EQ(spilled.characterization.to_yaml(),
-              reference.characterization.to_yaml());
-    EXPECT_EQ(spilled.job_seconds, reference.job_seconds);
+    const auto* golden = testutil::golden_row(entry.id);
+    ASSERT_NE(golden, nullptr);
+    EXPECT_EQ(testutil::hex64(testutil::charz_digest(spilled.characterization)),
+              testutil::hex64(golden->charz_digest));
+    EXPECT_EQ(testutil::exact(spilled.job_seconds), golden->job_seconds);
   }
 }
 
 // run_many must stay bit-identical whether the replayed scenarios execute
-// sequentially or on four worker threads.
+// sequentially or on four worker threads, and match the golden profiles.
 TEST(PatternEquivalence, RunManyIdenticalAcrossJobCounts) {
   std::vector<Scenario> scenarios;
   for (const auto& entry : paper_workloads()) {
     Scenario s;
     s.name = entry.id;
-    s.spec = test_cluster();
+    s.spec = golden_cluster();
     s.make = entry.make_test;
     scenarios.push_back(std::move(s));
   }
@@ -166,10 +125,10 @@ TEST(PatternEquivalence, RunManyIdenticalAcrossJobCounts) {
     EXPECT_EQ(one[i].job_seconds, four[i].job_seconds);
     EXPECT_EQ(one[i].characterization.to_yaml(),
               four[i].characterization.to_yaml());
-    auto reference = run(test_cluster(),
-                         reference_of(scenarios[i].make()));
-    EXPECT_EQ(one[i].characterization.to_yaml(),
-              reference.characterization.to_yaml());
+    const auto* golden = testutil::golden_row(scenarios[i].name);
+    ASSERT_NE(golden, nullptr);
+    EXPECT_EQ(testutil::hex64(testutil::charz_digest(one[i].characterization)),
+              testutil::hex64(golden->charz_digest));
   }
 }
 
@@ -179,7 +138,7 @@ TEST(PatternEquivalence, RunManyIdenticalAcrossJobCounts) {
 // what the compiler emits when the RunConfig asks for preloading.
 TEST(PatternEquivalence, CosmoflowPreloadRewriteReproducesFig7Direction) {
   auto w = make_cosmoflow(CosmoflowParams::test());
-  runtime::Simulation compile_sim(test_cluster());
+  runtime::Simulation compile_sim(golden_cluster());
   auto baseline_pat = w.compile(compile_sim, advisor::RunConfig{});
 
   advisor::PreloadSpec spec;
@@ -191,7 +150,7 @@ TEST(PatternEquivalence, CosmoflowPreloadRewriteReproducesFig7Direction) {
   // The rewrite equals recompiling with the knob on.
   advisor::RunConfig preload_cfg;
   preload_cfg.preload_input_to_node_local = true;
-  runtime::Simulation compile_sim2(test_cluster());
+  runtime::Simulation compile_sim2(golden_cluster());
   EXPECT_EQ(pattern::to_yaml(rewritten),
             pattern::to_yaml(w.compile(compile_sim2, preload_cfg)));
 
@@ -202,7 +161,7 @@ TEST(PatternEquivalence, CosmoflowPreloadRewriteReproducesFig7Direction) {
     v.launch = [&pat](runtime::Simulation& sim, const advisor::RunConfig&) {
       pattern::replay(sim, pat);
     };
-    return run(test_cluster(), v);
+    return run(golden_cluster(), v);
   };
   auto base = replay_pattern(baseline_pat);
   auto fast = replay_pattern(rewritten);
@@ -216,7 +175,7 @@ TEST(PatternEquivalence, CosmoflowPreloadRewriteReproducesFig7Direction) {
 // What-if rewrites preserve total bytes while changing op shape.
 TEST(PatternRewrite, TransferSizeKeepsBytes) {
   auto w = make_hacc(HaccParams::test());
-  runtime::Simulation compile_sim(test_cluster());
+  runtime::Simulation compile_sim(golden_cluster());
   auto pat = w.compile(compile_sim, advisor::RunConfig{});
   auto rewritten = pat;
   const int changed = advisor::set_transfer_size(rewritten, util::kMiB);
@@ -229,7 +188,7 @@ TEST(PatternRewrite, TransferSizeKeepsBytes) {
     v.launch = [&p](runtime::Simulation& sim, const advisor::RunConfig&) {
       pattern::replay(sim, p);
     };
-    return run(test_cluster(), v);
+    return run(golden_cluster(), v);
   };
   auto base = run_pattern(pat);
   auto variant = run_pattern(rewritten);
@@ -241,7 +200,7 @@ TEST(PatternRewrite, TransferSizeKeepsBytes) {
 
 TEST(PatternRewrite, InterfaceSwapRespectsPinnedHandles) {
   auto w = make_jag(JagParams::test());
-  runtime::Simulation compile_sim(test_cluster());
+  runtime::Simulation compile_sim(golden_cluster());
   auto pat = w.compile(compile_sim, advisor::RunConfig{});
   auto rewritten = pat;
   // JAG's dataset handles are pinned by scattered reads and wrap seeks;
@@ -256,7 +215,7 @@ TEST(PatternRewrite, InterfaceSwapRespectsPinnedHandles) {
                           const advisor::RunConfig&) {
     pattern::replay(sim, rewritten);
   };
-  auto out = run(test_cluster(), v);
+  auto out = run(golden_cluster(), v);
   EXPECT_GT(out.profile.totals.io_bytes(), 0u);
 }
 

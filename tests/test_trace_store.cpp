@@ -459,14 +459,6 @@ std::vector<trace::Record> golden_records(std::size_t n) {
   return records;
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 // Chunk files are a persistent format: every chunk file the store writes
 // for a fixed trace must match the committed digests byte for byte, at
 // several chunkings, with and without the aux columns.
@@ -511,13 +503,13 @@ TEST(SpillStore, ChunkFilesMatchGoldenDigests) {
       }
     }
     store.finalize();
-    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::uint64_t digest = testutil::kFnvOffset;
     std::uint64_t bytes = 0;
     for (std::size_t c = 0; c < store.spilled_chunks(); ++c) {
       std::ifstream in(store.chunk_file_path(c), std::ios::binary);
       const std::string file((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
-      digest = fnv1a(digest, file);
+      digest = testutil::fnv1a(digest, file);
       bytes += file.size();
     }
     EXPECT_EQ(store.spilled_chunks(), g.chunks);

@@ -6,9 +6,13 @@
 //
 // `dump` compiles a registry workload (or re-parses a dumped file) and
 // prints the pattern YAML. `replay` drives the pattern through the generic
-// replayer and prints the characterization, exactly as wasp_run would for
-// the imperative model. `whatif` applies §IV-D rewrites as pure IR -> IR
+// replayer and prints the characterization, exactly as wasp_run does for
+// the registry workload. `whatif` applies §IV-D rewrites as pure IR -> IR
 // transforms, then replays baseline and variant and reports the delta.
+//
+// Exit codes: 0 ok; 1 with one "wasp_pattern: <diagnostic>" line on a
+// malformed pattern file or a failed run (tools/cli_contract.hpp); 2 on
+// usage errors.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "advisor/pattern_rewrites.hpp"
+#include "cli_contract.hpp"
 #include "pattern/replayer.hpp"
 #include "sim/faults.hpp"
 #include "util/error.hpp"
@@ -130,6 +135,8 @@ void emit(const std::string& text, const std::string& path,
   } else {
     std::ofstream os(path);
     os << text;
+    WASP_CHECK_MSG(os.good(), std::string("cannot write ") + what + " to " +
+                                  path);
     std::cerr << what << " written to " << path << "\n";
   }
 }
@@ -143,9 +150,7 @@ void report(const char* tag, const workloads::RunOutput& out) {
             << ", " << out.profile.files.size() << " files\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   if (argc < 3) {
     usage();
     return 2;
@@ -195,7 +200,12 @@ int main(int argc, char** argv) {
                   << " ops)\n";
       });
     } else if (arg == "--interface") {
-      const auto layer = pattern::layer_from(next());
+      pattern::Layer layer{};
+      try {
+        layer = pattern::layer_from(next());
+      } catch (const util::SimError& e) {
+        die(e.what());
+      }
       rewrites.push_back([layer](pattern::JobPattern& p) {
         std::cerr << "rewrite: interface -> " << pattern::to_string(layer)
                   << " (" << advisor::set_interface(p, layer) << " ops)\n";
@@ -233,56 +243,58 @@ int main(int argc, char** argv) {
     die("rewrite options are only valid with the whatif command");
   }
 
-  try {
-    const PatternSource src = resolve_source(argv[2]);
-    // A throwaway Simulation gives compilers their mount table; replays
-    // always run on a fresh one.
-    runtime::Simulation compile_sim(cluster::lassen(nodes));
-    workloads::Workload frame;
-    pattern::JobPattern pat;
-    if (src.registry_index >= 0) {
-      const auto entry = frame_entry(src, nullptr);
-      frame = test_scale ? entry.make_test() : entry.make_paper();
-      pat = make_pattern(src, compile_sim, frame, advisor::RunConfig{});
-    } else {
-      pat = pattern::pattern_from_yaml(src.yaml_text);
-      const auto entry = frame_entry(src, &pat);
-      frame = test_scale ? entry.make_test() : entry.make_paper();
-    }
-    // --faults overrides any plan the pattern already carries; dump then
-    // serializes it, and replay installs it (replay() honors pat.faults).
-    if (faults.enabled()) pat.faults = faults;
-
-    if (command == "dump") {
-      emit(pattern::to_yaml(pat), out_file, "pattern");
-      return 0;
-    }
-
-    if (command == "replay") {
-      auto out = replay_pattern(pat, frame, nodes);
-      report("replay", out);
-      emit(out.characterization.to_yaml(), yaml_file, "characterization");
-      return 0;
-    }
-
-    // whatif: keep the baseline, rewrite a copy, compare.
-    pattern::JobPattern variant = pat;
-    for (const auto& rw : rewrites) rw(variant);
-    if (dump_only) {
-      emit(pattern::to_yaml(variant), out_file, "pattern");
-      return 0;
-    }
-    auto base = replay_pattern(pat, frame, nodes);
-    auto what = replay_pattern(variant, frame, nodes);
-    report("baseline", base);
-    report("what-if ", what);
-    const double speedup =
-        what.job_seconds > 0 ? base.job_seconds / what.job_seconds : 0.0;
-    std::cerr << "speedup: " << speedup << "x\n";
-    emit(what.characterization.to_yaml(), yaml_file, "characterization");
-    return 0;
-  } catch (const util::SimError& e) {
-    std::cerr << "wasp_pattern: " << e.what() << "\n";
-    return 1;
+  const PatternSource src = resolve_source(argv[2]);
+  // A throwaway Simulation gives compilers their mount table; replays
+  // always run on a fresh one.
+  runtime::Simulation compile_sim(cluster::lassen(nodes));
+  workloads::Workload frame;
+  pattern::JobPattern pat;
+  if (src.registry_index >= 0) {
+    const auto entry = frame_entry(src, nullptr);
+    frame = test_scale ? entry.make_test() : entry.make_paper();
+    pat = make_pattern(src, compile_sim, frame, advisor::RunConfig{});
+  } else {
+    pat = pattern::pattern_from_yaml(src.yaml_text);
+    const auto entry = frame_entry(src, &pat);
+    frame = test_scale ? entry.make_test() : entry.make_paper();
   }
+  // --faults overrides any plan the pattern already carries; dump then
+  // serializes it, and replay installs it (replay() honors pat.faults).
+  if (faults.enabled()) pat.faults = faults;
+
+  if (command == "dump") {
+    emit(pattern::to_yaml(pat), out_file, "pattern");
+    return 0;
+  }
+
+  if (command == "replay") {
+    auto out = replay_pattern(pat, frame, nodes);
+    report("replay", out);
+    emit(out.characterization.to_yaml(), yaml_file, "characterization");
+    return 0;
+  }
+
+  // whatif: keep the baseline, rewrite a copy, compare.
+  pattern::JobPattern variant = pat;
+  for (const auto& rw : rewrites) rw(variant);
+  if (dump_only) {
+    emit(pattern::to_yaml(variant), out_file, "pattern");
+    return 0;
+  }
+  auto base = replay_pattern(pat, frame, nodes);
+  auto what = replay_pattern(variant, frame, nodes);
+  report("baseline", base);
+  report("what-if ", what);
+  const double speedup =
+      what.job_seconds > 0 ? base.job_seconds / what.job_seconds : 0.0;
+  std::cerr << "speedup: " << speedup << "x\n";
+  emit(what.characterization.to_yaml(), yaml_file, "characterization");
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return toolcli::guarded_main("wasp_pattern",
+                               [&] { return run_main(argc, argv); });
 }

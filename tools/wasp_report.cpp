@@ -10,7 +10,9 @@
 //
 // Exit codes: 0 ok; diff: 1 on a tolerance breach; check: 1 on a perf
 // regression (0 with --advisory), 3 on a schema/determinism violation
-// (hard even in advisory mode); 2 on usage errors.
+// (hard even in advisory mode); 1 with one "wasp_report: <diagnostic>" line
+// on an unreadable or malformed input file (tools/cli_contract.hpp); 2 on
+// usage errors.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_contract.hpp"
 #include "obs/report.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -219,25 +222,22 @@ int cmd_check(const std::vector<std::string>& args) {
   return verdict.exit_code(advisory);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
   for (const auto& a : args) {
     if (a.empty()) return usage();
   }
-  try {
-    if (cmd == "summarize") return cmd_summarize(args);
-    if (cmd == "diff") return cmd_diff(args);
-    if (cmd == "check") return cmd_check(args);
-  } catch (const util::SimError& e) {
-    std::cerr << "wasp_report: " << e.what() << "\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "wasp_report: " << e.what() << "\n";
-    return 2;
-  }
+  if (cmd == "summarize") return cmd_summarize(args);
+  if (cmd == "diff") return cmd_diff(args);
+  if (cmd == "check") return cmd_check(args);
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return toolcli::guarded_main("wasp_report",
+                               [&] { return run_main(argc, argv); });
 }
