@@ -1,7 +1,9 @@
-// RunConfig: every storage/middleware knob the advisor can turn and the
-// workload runner honors. The default-constructed value is the system
-// default configuration (the paper's "baseline"); the advisor rewrites
-// fields based on workload attributes (the paper's "optimized").
+// RunConfig: every storage/middleware knob the advisor can turn. The
+// default-constructed value is the system default configuration (the
+// paper's "baseline"); the advisor rewrites fields based on workload
+// attributes (the paper's "optimized"). advisor::apply_config
+// (pattern_rewrites.hpp) is the one place the runner honors them: it turns
+// each non-cluster field into an IR -> IR rewrite of the baseline pattern.
 #pragma once
 
 #include <string>
@@ -14,9 +16,10 @@ namespace wasp::advisor {
 
 struct RunConfig {
   // ---- Parallel-file-system configuration (Lustre/GPFS-style) ----
+  // The "stripe-size" and "disable-locking" recommendations write these,
+  // but no run applies them: the fs model has no byte-range locking, and
+  // the PFS stripe size comes from the ClusterSpec.
   util::Bytes stripe_size = util::kMiB;
-  int stripe_count = 4;
-  bool client_page_cache = true;
   /// GPFS ROMIO-style byte-range locking for shared files.
   bool shared_file_locking = true;
 

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iterator>
+#include <map>
 #include <set>
 #include <vector>
 
+#include "runtime/simulation.hpp"
 #include "util/error.hpp"
 
 namespace wasp::advisor {
@@ -16,13 +18,17 @@ using pattern::Expr;
 using pattern::Op;
 using pattern::OpKind;
 
+/// Visit an op and its body, depth-first.
+template <typename F>
+void visit(Op& o, F&& f) {
+  f(o);
+  for (Op& child : o.body) visit(child, f);
+}
+
 /// Visit every op (depth-first) in every op vector of the pattern.
 template <typename F>
 void for_each_op(std::vector<Op>& ops, F&& f) {
-  for (Op& o : ops) {
-    f(o);
-    if (!o.body.empty()) for_each_op(o.body, f);
-  }
+  for (Op& o : ops) visit(o, f);
 }
 
 template <typename F>
@@ -65,11 +71,138 @@ bool const_value(const Expr& e, std::int64_t* out) {
   }
 }
 
-bool parse_u64(const std::string* s, std::uint64_t* out) {
-  if (s == nullptr || s->empty()) return false;
+/// A numeric meta value, or `fallback` when absent or malformed.
+std::uint64_t meta_u64(const pattern::JobPattern& pat, const char* key,
+                       std::uint64_t fallback = 0) {
+  const std::string* s = pat.find_meta(key);
+  if (s == nullptr || s->empty()) return fallback;
   char* end = nullptr;
-  *out = std::strtoull(s->c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
+  const std::uint64_t v = std::strtoull(s->c_str(), &end, 10);
+  return *end == '\0' ? v : fallback;
+}
+
+std::string meta_str(const pattern::JobPattern& pat, const char* key) {
+  const std::string* s = pat.find_meta(key);
+  return s == nullptr ? std::string() : *s;
+}
+
+bool starts_with(const std::string& s, const std::string& prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+Expr lit(std::uint64_t v) { return Expr::lit(static_cast<std::int64_t>(v)); }
+
+/// "max(size_of(\"path\") / unit, 1)": whole `unit` pieces of a file.
+Expr pieces_of(const std::string& path, std::uint64_t unit) {
+  return Expr("max(size_of(\"" + path + "\") / " + std::to_string(unit) +
+              ", 1)");
+}
+
+/// §IV-D.4: consumers read the "locality.local" copy instead of the
+/// cross-node "locality.remote" one.
+void read_local_copies(pattern::JobPattern& pat) {
+  redirect_prefix(pat, meta_str(pat, "locality.remote"),
+                  meta_str(pat, "locality.local"));
+}
+
+/// §IV-D.1 (data transformation): reads and writes on handles opened under
+/// "checkpoint.dir" go through the compressed layer.
+void compress_checkpoints(pattern::JobPattern& pat) {
+  const std::string dir = meta_str(pat, "checkpoint.dir");
+  if (dir.empty()) return;
+  for_each_tree(pat, [&](std::vector<Op>& ops) {
+    std::set<std::string> ckpt;  // handles open on a checkpoint
+    for_each_op(ops, [&](Op& o) {
+      if (o.kind == OpKind::kOpen) {
+        ckpt.erase(o.handle);
+        if (starts_with(o.path, dir)) ckpt.insert(o.handle);
+      } else if ((o.kind == OpKind::kRead || o.kind == OpKind::kWrite) &&
+                 o.layer == pattern::Layer::kPosix && ckpt.count(o.handle)) {
+        o.layer = pattern::Layer::kCompressed;
+      }
+    });
+  });
+}
+
+/// §IV-D.2 (SCR-style async drain): checkpoints move from "checkpoint.dir"
+/// to `fast_mount` + "checkpoint.tier_dir". Right after the top-level op
+/// that last closes one written in a phase, a spawned task copies it back
+/// to the PFS in "checkpoint.transfer" pieces while the job goes on.
+void drain_checkpoints(pattern::JobPattern& pat,
+                       const std::string& fast_mount) {
+  const std::string dir = meta_str(pat, "checkpoint.dir");
+  const std::string fast_dir =
+      fast_mount + meta_str(pat, "checkpoint.tier_dir");
+  const std::uint64_t transfer = meta_u64(pat, "checkpoint.transfer", 1);
+  redirect_prefix(pat, dir, fast_dir);
+  for (auto& g : pat.groups) {
+    for (auto& ph : g.phases) {
+      std::size_t at = 0;
+      std::string src;
+      std::map<std::string, std::string> writing;  // handle -> path
+      for (std::size_t i = 0; i < ph.ops.size(); ++i) {
+        visit(ph.ops[i], [&](Op& o) {
+          if (o.kind == OpKind::kOpen) {
+            writing.erase(o.handle);
+            if (o.mode != io::OpenMode::kRead &&
+                starts_with(o.path, fast_dir)) {
+              writing[o.handle] = o.path;
+            }
+          } else if (o.kind == OpKind::kClose && writing.count(o.handle)) {
+            at = i + 1;
+            src = writing[o.handle];
+          }
+        });
+      }
+      if (src.empty()) continue;
+      const Expr n = pieces_of(src, transfer);
+      const auto posix = pattern::Layer::kPosix;
+      ph.ops.insert(
+          ph.ops.begin() + static_cast<std::ptrdiff_t>(at),
+          po::spawn(ph.app,
+                    {po::open(posix, "in", src, io::OpenMode::kRead),
+                     po::open(posix, "out", dir + src.substr(fast_dir.size()),
+                              io::OpenMode::kWrite),
+                     po::read(posix, "in", lit(transfer), n),
+                     po::write(posix, "out", lit(transfer), n),
+                     po::close(posix, "in"), po::close(posix, "out")}));
+    }
+  }
+}
+
+/// §IV-D.1 / §V-B: intermediates move from "intermediates.dir" to
+/// `tier_mount` + "intermediates.tier_dir". Node-local files are not
+/// reachable cross-node, so consumers read their own node's copy, and the
+/// "intermediates.drain_app" phase ends (before its closing barrier) by
+/// draining "intermediates.drain_src" to "intermediates.drain_dst" on the
+/// PFS: buffered 1 MiB reads, synchronous 64 KiB writes.
+void intermediates_to_node_local(pattern::JobPattern& pat,
+                                 const std::string& tier_mount) {
+  read_local_copies(pat);
+  const std::string src = meta_str(pat, "intermediates.drain_src");
+  const std::string app = meta_str(pat, "intermediates.drain_app");
+  const std::vector<Op> drain = {
+      po::open(pattern::Layer::kStdio, "seg", src, io::OpenMode::kRead),
+      po::read(pattern::Layer::kStdio, "seg", lit(util::kMiB),
+               pieces_of(src, util::kMiB)),
+      po::close(pattern::Layer::kStdio, "seg"),
+      po::open(pattern::Layer::kPosix, "dst",
+               meta_str(pat, "intermediates.drain_dst"), io::OpenMode::kWrite),
+      po::pwrite_sync("dst", lit(0), lit(64 * util::kKiB),
+                      pieces_of(src, 64 * util::kKiB)),
+      po::close(pattern::Layer::kPosix, "dst")};
+  for (auto& g : pat.groups) {
+    for (auto& ph : g.phases) {
+      if (src.empty() || ph.app != app) continue;
+      auto at = ph.ops.end();
+      if (at != ph.ops.begin() && std::prev(at)->kind == OpKind::kBarrier) {
+        --at;
+      }
+      ph.ops.insert(at, drain.begin(), drain.end());
+    }
+  }
+  redirect_prefix(pat, meta_str(pat, "intermediates.dir"),
+                  tier_mount + meta_str(pat, "intermediates.tier_dir"));
 }
 
 /// Handles that must stay on their layer: ops that exist on exactly one
@@ -142,72 +275,55 @@ void rewrite_layer(std::vector<Op>& ops, const std::set<std::string>& pinned,
 
 }  // namespace
 
-bool preload_spec_from_meta(const pattern::JobPattern& pat,
-                            const std::string& tier_mount, PreloadSpec* out) {
-  const std::string* src = pat.find_meta("preload.src_dir");
-  if (src == nullptr) return false;
-  PreloadSpec spec;
-  spec.src_dir = *src;
-  if (const std::string* s = pat.find_meta("preload.suffix")) {
-    spec.suffix = *s;
-  }
-  spec.dst_dir = tier_mount + "/" + pat.name + "/";
-  std::uint64_t v = 0;
-  if (parse_u64(pat.find_meta("preload.files"), &v)) spec.files = v;
-  if (parse_u64(pat.find_meta("preload.nodes"), &v)) {
-    spec.nodes = static_cast<int>(v);
-  }
-  if (parse_u64(pat.find_meta("preload.ppn"), &v)) {
-    spec.ppn = static_cast<int>(v);
-  }
-  if (parse_u64(pat.find_meta("preload.file_size"), &v)) spec.file_size = v;
-  if (parse_u64(pat.find_meta("preload.chunk"), &v)) spec.chunk = v;
-  if (parse_u64(pat.find_meta("preload.floor_ns"), &v)) spec.floor_ns = v;
-  *out = std::move(spec);
-  return true;
-}
-
-void apply_preload(pattern::JobPattern& pat, const PreloadSpec& spec) {
+bool apply_preload(pattern::JobPattern& pat, const std::string& tier_mount) {
+  const std::string src_dir = meta_str(pat, "preload.src_dir");
+  if (src_dir.empty()) return false;
+  const std::string dst_dir = tier_mount + "/" + pat.name + "/";
+  const std::string suffix = meta_str(pat, "preload.suffix");
+  const std::uint64_t files = meta_u64(pat, "preload.files");
+  const std::uint64_t nodes = meta_u64(pat, "preload.nodes", 1);
+  const std::uint64_t ppn = meta_u64(pat, "preload.ppn", 1);
+  const std::uint64_t chunk = meta_u64(pat, "preload.chunk", 4 * util::kMiB);
   WASP_CHECK_MSG(!pat.groups.empty() && !pat.groups.front().phases.empty(),
                  "pattern: apply_preload needs at least one lane phase");
-  WASP_CHECK_MSG(spec.files > 0 && spec.chunk > 0,
-                 "pattern: preload spec has no files / zero chunk");
+  WASP_CHECK_MSG(files > 0 && chunk > 0,
+                 "pattern: preload meta has no files / zero chunk");
 
   // Consumers read the node-local copies...
-  redirect_prefix(pat, spec.src_dir, spec.dst_dir);
+  redirect_prefix(pat, src_dir, dst_dir);
 
   // ...which the prepended paced copy loop creates. Every local rank
   // stages an interleaved slice of its node's shard: file indices
   // node + local*nodes + m*(ppn*nodes).
-  const std::string src = spec.src_dir + "{i}" + spec.suffix;
-  const std::string dst = spec.dst_dir + "{i}" + spec.suffix;
-  const auto chunks = static_cast<std::int64_t>(
-      std::max<util::Bytes>(spec.file_size / spec.chunk, 1));
+  const std::string src = src_dir + "{i}" + suffix;
+  const std::string dst = dst_dir + "{i}" + suffix;
+  const Expr chunks =
+      lit(std::max<std::uint64_t>(meta_u64(pat, "preload.file_size") / chunk,
+                                  1));
   std::vector<Op> body;
   body.push_back(po::stat(src));
   body.push_back(po::open(pattern::Layer::kPosix, "pre_src", src,
                           io::OpenMode::kRead));
   body.push_back(po::open(pattern::Layer::kPosix, "pre_dst", dst,
                           io::OpenMode::kWrite));
-  body.push_back(po::paced_read(
-      "pre_src", Expr::lit(static_cast<std::int64_t>(spec.chunk)),
-      Expr::lit(chunks), spec.floor_ns));
-  body.push_back(po::write(pattern::Layer::kPosix, "pre_dst",
-                           Expr::lit(static_cast<std::int64_t>(spec.chunk)),
-                           Expr::lit(chunks)));
+  body.push_back(po::paced_read("pre_src", lit(chunk), chunks,
+                                meta_u64(pat, "preload.floor_ns")));
+  body.push_back(
+      po::write(pattern::Layer::kPosix, "pre_dst", lit(chunk), chunks));
   body.push_back(po::close(pattern::Layer::kPosix, "pre_src"));
   body.push_back(po::close(pattern::Layer::kPosix, "pre_dst"));
 
   std::vector<Op> pre;
   pre.push_back(po::loop(
-      "i", Expr("node + local * " + std::to_string(spec.nodes)),
-      Expr::lit(static_cast<std::int64_t>(spec.files)), std::move(body),
-      Expr(std::to_string(spec.ppn) + " * " + std::to_string(spec.nodes))));
+      "i", Expr("node + local * " + std::to_string(nodes)), lit(files),
+      std::move(body),
+      Expr(std::to_string(ppn) + " * " + std::to_string(nodes))));
   pre.push_back(po::barrier());
 
   auto& ops = pat.groups.front().phases.front().ops;
   ops.insert(ops.begin(), std::make_move_iterator(pre.begin()),
              std::make_move_iterator(pre.end()));
+  return true;
 }
 
 void redirect_prefix(pattern::JobPattern& pat, const std::string& from,
@@ -234,6 +350,37 @@ void set_hdf5_chunking(pattern::JobPattern& pat, util::Bytes chunk_size) {
 void set_stdio_buffer(pattern::JobPattern& pat, util::Bytes buffer) {
   for (auto& g : pat.groups) g.stdio_buffer = buffer;
   pat.dag.stdio_buffer = buffer;
+}
+
+void apply_config(pattern::JobPattern& pat, const RunConfig& cfg,
+                  runtime::Simulation& sim) {
+  set_stdio_buffer(pat, cfg.stdio_buffer);
+  set_hdf5_chunking(pat, cfg.hdf5_chunking ? cfg.hdf5_chunk_size : 0);
+  for (auto& g : pat.groups) {
+    g.mpiio = cfg.mpiio;
+    g.codec.use_gpu = cfg.compress_on_gpu;
+    g.codec.ratio = cfg.compression_ratio;
+  }
+  if (cfg.locality_aware_placement) {
+    pat.dag.locality_aware = true;
+    read_local_copies(pat);
+  }
+  if (cfg.compress_checkpoints) compress_checkpoints(pat);
+  // A tier is looked up only when the pattern carries the knob's meta, so
+  // a cluster without it still runs a pattern that ignores the knob.
+  const auto tier = [&] {
+    return sim.node_local(cfg.node_local_tier).mount();
+  };
+  if (cfg.async_checkpoint_drain && pat.find_meta("checkpoint.dir")) {
+    drain_checkpoints(pat,
+                      sim.has_shared_bb() ? sim.shared_bb().mount() : tier());
+  }
+  if (cfg.intermediates_to_node_local && pat.find_meta("intermediates.dir")) {
+    intermediates_to_node_local(pat, tier());
+  }
+  if (cfg.preload_input_to_node_local && pat.find_meta("preload.src_dir")) {
+    apply_preload(pat, tier());
+  }
 }
 
 int set_transfer_size(pattern::JobPattern& pat, util::Bytes transfer) {

@@ -2,44 +2,35 @@
 //
 // Each of the advisor's configuration changes — preload inputs to a
 // node-local tier, redirect intermediates to shm, enable HDF5 chunking,
-// grow the STDIO buffer — is expressed here as a pure IR -> IR transform
-// over a compiled JobPattern. Evaluating a recommendation is then: compile
-// the baseline once, rewrite, replay, compare profiles. The rewrites never
-// re-derive workload structure; they only edit the declarative pattern.
+// grow the STDIO buffer, compress or asynchronously drain checkpoints —
+// is expressed here as a pure IR -> IR transform over a baseline
+// JobPattern. Compilers emit only the baseline; apply_config() turns a
+// RunConfig into the sequence of rewrites. Evaluating a recommendation is
+// then: compile the baseline once, rewrite, replay, compare profiles. The
+// rewrites never re-derive workload structure: whatever a knob needs to
+// know about the workload, the compiler records in the pattern's meta.
 #pragma once
 
 #include <string>
 
+#include "advisor/config.hpp"
 #include "pattern/pattern.hpp"
+
+namespace wasp::runtime {
+class Simulation;
+}
 
 namespace wasp::advisor {
 
-/// Inputs of an MPIFileUtils-style parallel stage-in (§IV-D.1). Compilers
-/// whose workload supports preloading record one in the pattern's meta
-/// ("preload.*" keys) so the rewrite can also be applied to a pattern
-/// loaded from YAML (wasp_pattern whatif).
-struct PreloadSpec {
-  std::string src_dir;  ///< PFS directory the inputs live in (with '/')
-  std::string dst_dir;  ///< node-local target directory (with '/')
-  std::string suffix;   ///< input file name suffix, e.g. ".h5"
-  std::uint64_t files = 0;
-  int nodes = 1;
-  int ppn = 1;                           ///< ranks per node doing the copy
-  util::Bytes file_size = 0;
-  util::Bytes chunk = 4 * util::kMiB;    ///< copy transfer size
-  std::uint64_t floor_ns = 0;            ///< paced-copy floor per file
-};
-
-/// Recover the preload spec a compiler stored in `pat.meta`; `dst_dir`
-/// becomes `tier_mount + "/" + pat.name + "/"`. Returns false when the
-/// pattern carries no preload metadata.
-bool preload_spec_from_meta(const pattern::JobPattern& pat,
-                            const std::string& tier_mount, PreloadSpec* out);
-
-/// §IV-D.1: retarget every path under `spec.src_dir` to the node-local
-/// copies in `spec.dst_dir`, then prepend the paced parallel copy loop
-/// (plus a barrier) to the first phase of the first lane group.
-void apply_preload(pattern::JobPattern& pat, const PreloadSpec& spec);
+/// §IV-D.1: stage the inputs a compiler described in the pattern's meta
+/// ("preload.*" keys: source dir, file suffix and count, nodes, ranks per
+/// node, file size, copy chunk, paced-copy floor) into
+/// `tier_mount + "/" + pat.name + "/"`. Every path under the source dir is
+/// retargeted to the node-local copies, and an MPIFileUtils-style paced
+/// parallel copy loop (plus a barrier) is prepended to the first phase of
+/// the first lane group. Returns false when the pattern carries no preload
+/// metadata.
+bool apply_preload(pattern::JobPattern& pat, const std::string& tier_mount);
 
 /// §IV-D.4 (shm redirect): rewrite every path that starts with `from` to
 /// start with `to` — op path templates and size_of("...") references
@@ -53,6 +44,17 @@ void set_hdf5_chunking(pattern::JobPattern& pat, util::Bytes chunk_size);
 
 /// §IV-D.5: set the STDIO buffer of every lane group and of the DAG.
 void set_stdio_buffer(pattern::JobPattern& pat, util::Bytes buffer);
+
+/// Configure a baseline pattern as `cfg` says: the one reader of
+/// RunConfig's middleware, placement, transformation and scheduling knobs.
+/// Middleware settings go on every lane group; each enabled placement,
+/// compression or drain knob applies its rewrite, driven by the meta the
+/// compiler recorded ("preload.*", "checkpoint.*", "intermediates.*",
+/// "locality.*"; DESIGN.md §11 maps knob -> rewrite -> meta keys). Tier
+/// mounts come from `sim`. A knob whose meta the pattern does not carry is
+/// a no-op.
+void apply_config(pattern::JobPattern& pat, const RunConfig& cfg,
+                  runtime::Simulation& sim);
 
 /// What-if: rescale every constant-size transfer to `transfer`, keeping
 /// the bytes moved identical (count = max(size * count / transfer, 1)).

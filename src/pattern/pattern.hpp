@@ -4,12 +4,13 @@
 // behavior: which communicators exist, which lane groups run which phases,
 // and — per phase — the exact op sequence (opens, transfers, seeks, compute
 // spans, barriers, loops) each lane performs. Workload models *compile*
-// their parameters + RunConfig into a JobPattern; a generic Replayer (see
+// their parameters into a baseline JobPattern; a generic Replayer (see
 // replayer.hpp) drives the pattern through the existing io:: layers. The
 // pattern is a workload's only executable form.
 //
-// The IR is the what-if surface: advisor optimizations (§IV-D) become pure
-// IR->IR rewrites (advisor/pattern_rewrites.hpp), and patterns round-trip
+// The IR is the what-if surface: a RunConfig is applied to the baseline as
+// pure IR->IR rewrites (advisor/pattern_rewrites.hpp), which read what
+// they need about the workload from `meta`, and patterns round-trip
 // through YAML (to_yaml/from_yaml) so tools can dump, mutate, and replay
 // them (tools/wasp_pattern).
 //
@@ -175,8 +176,10 @@ struct JobPattern {
   std::vector<EventDecl> events;
   std::vector<LaneGroup> groups;
   DagDecl dag;
-  /// Free-form compile provenance (workload params, rewrite hints) so
-  /// tools and rewrites can act on a dumped pattern without the compiler.
+  /// Free-form compile provenance (workload params, the structure a
+  /// rewrite needs: "preload.*", "checkpoint.*", "intermediates.*",
+  /// "locality.*") so tools and rewrites can act on a dumped pattern
+  /// without the compiler.
   std::vector<std::pair<std::string, std::string>> meta;
   /// Deterministic fault schedule to install at replay (empty = none);
   /// carried through the YAML as its canonical spec string. A plan already

@@ -7,6 +7,7 @@
 // exactly; that property is what makes `wasp_pattern dump | edit | replay`
 // trustworthy and is locked in by tests/test_pattern.cpp.
 #include <cstdlib>
+#include <set>
 
 #include "pattern/pattern.hpp"
 #include "util/error.hpp"
@@ -238,6 +239,27 @@ std::vector<Op> load_ops(const Node* seq, const std::string& where) {
   return ops;
 }
 
+/// Reject a name that refers to no declaration, so a typo fails at load
+/// rather than inside replay.
+void need(const std::set<std::string>& declared, const std::string& name,
+          const char* what) {
+  if (declared.count(name) == 0) {
+    bad(std::string(what) + " '" + name + "' is not declared");
+  }
+}
+
+void check_names(const std::vector<Op>& ops,
+                 const std::set<std::string>& comms,
+                 const std::set<std::string>& events) {
+  for (const Op& o : ops) {
+    if (o.kind == OpKind::kAllreduce) need(comms, o.comm, "allreduce comm");
+    if (o.kind == OpKind::kSignal || o.kind == OpKind::kWaitEvent) {
+      need(events, o.event, "event");
+    }
+    check_names(o.body, comms, events);
+  }
+}
+
 }  // namespace
 
 std::string to_yaml(const JobPattern& pat) {
@@ -462,6 +484,17 @@ JobPattern pattern_from_yaml(const std::string& text) {
         pat.dag.stages.push_back(std::move(s));
       }
     }
+  }
+  std::set<std::string> comms;
+  std::set<std::string> events;
+  for (const CommDecl& c : pat.comms) comms.insert(c.name);
+  for (const EventDecl& e : pat.events) events.insert(e.name);
+  for (const LaneGroup& g : pat.groups) {
+    need(comms, g.comm, "group comm");
+    for (const PhasePattern& ph : g.phases) check_names(ph.ops, comms, events);
+  }
+  for (const DagStage& st : pat.dag.stages) {
+    check_names(st.ops, comms, events);
   }
   return pat;
 }

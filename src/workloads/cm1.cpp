@@ -4,7 +4,6 @@
 #include <string>
 
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 
 namespace wasp::workloads {
 namespace {
@@ -156,12 +155,8 @@ Workload make_cm1(const Cm1Params& params) {
   w.setup = [params](runtime::Simulation& sim) {
     return stage_inputs(sim, params);
   };
-  w.compile = [params](runtime::Simulation&, const advisor::RunConfig&) {
-    return compile_cm1(params);
-  };
-  w.launch = [params](runtime::Simulation& sim, const advisor::RunConfig&) {
-    pattern::replay(sim, compile_cm1(params));
-  };
+  set_baseline(w,
+               [params](runtime::Simulation&) { return compile_cm1(params); });
   return w;
 }
 

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <string>
 
-#include "advisor/pattern_rewrites.hpp"
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 #include "sim/waitgroup.hpp"
-#include "util/error.hpp"
 
 namespace wasp::workloads {
 namespace {
@@ -45,11 +42,8 @@ sim::Task<void> stage_dataset(runtime::Simulation& sim, CosmoflowParams P) {
 /// Compile the training pass into the pattern IR. The §IV-D.1 preload is
 /// NOT modeled here: the baseline pattern carries a "preload.*" meta block
 /// and the advisor's apply_preload() rewrite grafts the paced stage-in
-/// onto it — so cfg.preload_input_to_node_local and the what-if rewrite
-/// produce the same pattern by construction.
-pattern::JobPattern compile_cosmoflow(runtime::Simulation& sim,
-                                      const CosmoflowParams& P,
-                                      const advisor::RunConfig& cfg) {
+/// onto it.
+pattern::JobPattern compile_cosmoflow(const CosmoflowParams& P) {
   namespace po = pattern::ops;
   using pattern::Expr;
   const auto lit = [](auto v) {
@@ -81,9 +75,7 @@ pattern::JobPattern compile_cosmoflow(runtime::Simulation& sim,
   pattern::LaneGroup g;
   g.comm = "nodecomm";
   g.rng_seed = 0xC05;
-  g.mpiio = cfg.mpiio;
   g.hdf5.use_mpiio = true;
-  g.hdf5.chunk_size = cfg.hdf5_chunking ? cfg.hdf5_chunk_size : 0;
   g.hdf5.meta_reads_per_open = 8;  // unchunked: deep object-header walk
   g.hdf5.meta_reads_per_access = 1;
 
@@ -133,14 +125,6 @@ pattern::JobPattern compile_cosmoflow(runtime::Simulation& sim,
   pat.set_meta("preload.file_size", std::to_string(P.file_size));
   pat.set_meta("preload.chunk", std::to_string(4 * util::kMiB));
   pat.set_meta("preload.floor_ns", std::to_string(preload_floor_ns));
-
-  if (cfg.preload_input_to_node_local) {
-    advisor::PreloadSpec spec;
-    const bool ok = advisor::preload_spec_from_meta(
-        pat, sim.node_local(cfg.node_local_tier).mount(), &spec);
-    WASP_CHECK_MSG(ok, "cosmoflow: preload meta missing");
-    advisor::apply_preload(pat, spec);
-  }
   return pat;
 }
 
@@ -175,14 +159,9 @@ Workload make_cosmoflow(const CosmoflowParams& params) {
   w.setup = [params](runtime::Simulation& sim) {
     return stage_dataset(sim, params);
   };
-  w.compile = [params](runtime::Simulation& sim,
-                       const advisor::RunConfig& cfg) {
-    return compile_cosmoflow(sim, params, cfg);
-  };
-  w.launch = [params](runtime::Simulation& sim,
-                      const advisor::RunConfig& cfg) {
-    pattern::replay(sim, compile_cosmoflow(sim, params, cfg));
-  };
+  set_baseline(w, [params](runtime::Simulation&) {
+    return compile_cosmoflow(params);
+  });
   return w;
 }
 

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 
 namespace wasp::workloads {
 namespace {
@@ -72,12 +71,9 @@ Workload make_ior(const IorParams& params) {
   w.decl.data_repr = "1D";
   w.decl.dataset_format = "bin";
   w.decl.cpu_cores_used_per_node = params.ranks_per_node;
-  w.compile = [params](runtime::Simulation& sim, const advisor::RunConfig&) {
+  set_baseline(w, [params](runtime::Simulation& sim) {
     return compile_ior(sim, params);
-  };
-  w.launch = [params](runtime::Simulation& sim, const advisor::RunConfig&) {
-    pattern::replay(sim, compile_ior(sim, params));
-  };
+  });
   return w;
 }
 

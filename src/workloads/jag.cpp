@@ -4,7 +4,6 @@
 #include <string>
 
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 
 namespace wasp::workloads {
 namespace {
@@ -22,8 +21,7 @@ sim::Task<void> stage_dataset(runtime::Simulation& sim, JagParams P) {
 }
 
 /// Compile the JAG training loop into the pattern IR.
-pattern::JobPattern compile_jag(const JagParams& P,
-                                const advisor::RunConfig& cfg) {
+pattern::JobPattern compile_jag(const JagParams& P) {
   namespace po = pattern::ops;
   using pattern::Expr;
   const auto lit = [](auto v) {
@@ -54,7 +52,6 @@ pattern::JobPattern compile_jag(const JagParams& P,
   pattern::LaneGroup g;
   g.comm = "world";
   g.rng_seed = 0x1A6;
-  g.stdio_buffer = cfg.stdio_buffer;
 
   pattern::PhasePattern ph;
   ph.app = "jag-icf";
@@ -146,13 +143,8 @@ Workload make_jag(const JagParams& params) {
   w.setup = [params](runtime::Simulation& sim) {
     return stage_dataset(sim, params);
   };
-  w.compile = [params](runtime::Simulation&, const advisor::RunConfig& cfg) {
-    return compile_jag(params, cfg);
-  };
-  w.launch = [params](runtime::Simulation& sim,
-                      const advisor::RunConfig& cfg) {
-    pattern::replay(sim, compile_jag(params, cfg));
-  };
+  set_baseline(w,
+               [params](runtime::Simulation&) { return compile_jag(params); });
   return w;
 }
 

@@ -3,21 +3,12 @@
 #include <algorithm>
 
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 
 namespace wasp::workloads {
 namespace {
 
 constexpr const char* kFitsDir = "/p/gpfs1/montage/fits/";
 constexpr const char* kOutDir = "/p/gpfs1/montage/out/";
-
-std::string intermediate_dir(runtime::Simulation& sim,
-                             const advisor::RunConfig& cfg) {
-  if (cfg.intermediates_to_node_local) {
-    return sim.node_local(cfg.node_local_tier).mount() + "/montage/";
-  }
-  return "/p/gpfs1/montage/tmp/";
-}
 
 sim::Task<void> stage_inputs(runtime::Simulation& sim, MontageMpiParams P) {
   const auto app = sim.tracer().register_app("montage-stage");
@@ -35,10 +26,10 @@ sim::Task<void> stage_inputs(runtime::Simulation& sim, MontageMpiParams P) {
 /// of per-node drivers (mProject -> mImgtbl -> mShrink -> mViewer as
 /// successive phases) and one of mAddMPI ranks, coordinated by two countdown
 /// events: add_start fires once every node has finished mImgtbl, add_done
-/// once every mAddMPI rank has written its mosaic slice.
-pattern::JobPattern compile_montage_mpi(runtime::Simulation& sim,
-                                        const MontageMpiParams& P,
-                                        const advisor::RunConfig& cfg) {
+/// once every mAddMPI rank has written its mosaic slice. The
+/// "intermediates.*" and "locality.*" meta let the advisor's rewrites move
+/// the intermediates to a node-local tier and keep mViewer's read local.
+pattern::JobPattern compile_montage_mpi(const MontageMpiParams& P) {
   namespace po = pattern::ops;
   using pattern::Expr;
   using pattern::Layer;
@@ -46,7 +37,7 @@ pattern::JobPattern compile_montage_mpi(runtime::Simulation& sim,
     return Expr::lit(static_cast<std::int64_t>(v));
   };
 
-  const std::string tmp = intermediate_dir(sim, cfg);
+  const std::string tmp = "/p/gpfs1/montage/tmp/";
   const std::string kN = std::to_string(P.nodes);
   const std::string kFF = std::to_string(P.fits_files);
   const std::string first = "node * " + kFF + " / " + kN;
@@ -67,7 +58,6 @@ pattern::JobPattern compile_montage_mpi(runtime::Simulation& sim,
   pattern::LaneGroup drv;
   drv.comm = "nodes";
   drv.rng_seed = 0x305A1C;
-  drv.stdio_buffer = cfg.stdio_buffer;
 
   {  // mProject
     pattern::PhasePattern ph;
@@ -133,11 +123,8 @@ pattern::JobPattern compile_montage_mpi(runtime::Simulation& sim,
   {  // mViewer
     pattern::PhasePattern ph;
     ph.app = "mViewer";
-    const bool local_src =
-        cfg.locality_aware_placement || cfg.intermediates_to_node_local;
-    const std::string src =
-        tmp + (local_src ? "mosaic_{node}"
-                         : "mosaic_{(node + 1) % " + kN + "}");
+    // Reads the neighbor node's segment (see "locality.*" below).
+    const std::string src = tmp + "mosaic_{(node + 1) % " + kN + "}";
     ph.ops.push_back(po::open(Layer::kStdio, "in", src, io::OpenMode::kRead));
     ph.ops.push_back(po::read(
         Layer::kStdio, "in", lit(P.viewer_read_transfer),
@@ -152,23 +139,6 @@ pattern::JobPattern compile_montage_mpi(runtime::Simulation& sim,
         Layer::kStdio, "out", lit(P.png_write_transfer),
         lit(std::max<util::Bytes>(P.png_per_node / P.png_write_transfer, 1))));
     ph.ops.push_back(po::close(Layer::kStdio, "out"));
-    if (cfg.intermediates_to_node_local) {
-      // Drain the volatile node-local mosaic segment back to the PFS.
-      ph.ops.push_back(po::open(Layer::kStdio, "seg", tmp + "mosaic_{node}",
-                                io::OpenMode::kRead));
-      ph.ops.push_back(po::read(
-          Layer::kStdio, "seg", lit(util::kMiB),
-          Expr("max(size_of(\"" + src + "\") / " +
-               std::to_string(util::kMiB) + ", 1)")));
-      ph.ops.push_back(po::close(Layer::kStdio, "seg"));
-      ph.ops.push_back(po::open(Layer::kPosix, "dst",
-                                std::string(kOutDir) + "mosaic_{node}.fits",
-                                io::OpenMode::kWrite));
-      ph.ops.push_back(po::pwrite_sync(
-          "dst", Expr::lit(0), lit(64 * util::kKiB),
-          Expr("max(size_of(\"" + src + "\") / 65536, 1)")));
-      ph.ops.push_back(po::close(Layer::kPosix, "dst"));
-    }
     ph.ops.push_back(po::barrier());
     drv.phases.push_back(std::move(ph));
   }
@@ -178,7 +148,6 @@ pattern::JobPattern compile_montage_mpi(runtime::Simulation& sim,
   pattern::LaneGroup add;
   add.comm = "add";
   add.rng_seed = 0xADD;
-  add.stdio_buffer = cfg.stdio_buffer;
   {
     pattern::PhasePattern ph;
     ph.app = "mAddMPI";
@@ -217,6 +186,15 @@ pattern::JobPattern compile_montage_mpi(runtime::Simulation& sim,
     add.phases.push_back(std::move(ph));
   }
   pat.groups.push_back(std::move(add));
+
+  pat.set_meta("intermediates.dir", tmp);
+  pat.set_meta("intermediates.tier_dir", "/montage/");
+  pat.set_meta("intermediates.drain_app", "mViewer");
+  pat.set_meta("intermediates.drain_src", tmp + "mosaic_{node}");
+  pat.set_meta("intermediates.drain_dst",
+               std::string(kOutDir) + "mosaic_{node}.fits");
+  pat.set_meta("locality.remote", tmp + "mosaic_{(node + 1) % " + kN + "}");
+  pat.set_meta("locality.local", tmp + "mosaic_{node}");
   return pat;
 }
 
@@ -257,14 +235,9 @@ Workload make_montage_mpi(const MontageMpiParams& params) {
   w.setup = [params](runtime::Simulation& sim) {
     return stage_inputs(sim, params);
   };
-  w.compile = [params](runtime::Simulation& sim,
-                       const advisor::RunConfig& cfg) {
-    return compile_montage_mpi(sim, params, cfg);
-  };
-  w.launch = [params](runtime::Simulation& sim,
-                      const advisor::RunConfig& cfg) {
-    pattern::replay(sim, compile_montage_mpi(sim, params, cfg));
-  };
+  set_baseline(w, [params](runtime::Simulation&) {
+    return compile_montage_mpi(params);
+  });
   return w;
 }
 

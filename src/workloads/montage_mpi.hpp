@@ -12,10 +12,12 @@
 //                      writes the final PNG           [bulk of read I/O]
 //
 // Intermediate files (projected/mosaic/shrunk) live on the PFS in the
-// baseline and on node-local shm when RunConfig::intermediates_to_node_local
-// is set — except the mosaic, which mViewer consumes cross-node and
-// therefore stays where the consumer can reach it; with shm redirection the
-// viewer is placed locality-aware so its input *is* node-local (§IV-D.4).
+// baseline pattern, where mViewer reads its neighbor node's mosaic segment.
+// RunConfig::intermediates_to_node_local applies the advisor's
+// intermediates_to_node_local rewrite: the files move to node-local shm,
+// mViewer reads its own node's segment (the §IV-D.4 locality swap that
+// locality_aware_placement applies alone), and then drains that segment
+// back to the PFS.
 #pragma once
 
 #include "workloads/workload.hpp"

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "io/posix.hpp"
-#include "pattern/replayer.hpp"
 #include "sim/waitgroup.hpp"
 
 namespace wasp::workloads {
@@ -47,8 +46,7 @@ std::uint32_t ops_for(util::Bytes total, util::Bytes transfer) {
 /// `id` variable, and the dependency wiring becomes index expressions. The
 /// generic replayer rebuilds the identical workflow::Dag and runs it
 /// through the same PegasusScheduler.
-pattern::JobPattern compile_montage_pegasus(const MontagePegasusParams& P,
-                                            const advisor::RunConfig& cfg) {
+pattern::JobPattern compile_montage_pegasus(const MontagePegasusParams& P) {
   namespace po = pattern::ops;
   using pattern::Expr;
   using pattern::Layer;
@@ -63,8 +61,6 @@ pattern::JobPattern compile_montage_pegasus(const MontagePegasusParams& P,
   pat.name = "montage-pegasus";
   pat.dag.slots = P.slots;
   pat.dag.nodes = P.nodes;
-  pat.dag.locality_aware = cfg.locality_aware_placement;
-  pat.dag.stdio_buffer = cfg.stdio_buffer;
 
   auto& stages = pat.dag.stages;
 
@@ -310,13 +306,9 @@ Workload make_montage_pegasus(const MontagePegasusParams& params) {
   w.setup = [params](runtime::Simulation& sim) {
     return stage_inputs(sim, params);
   };
-  w.compile = [params](runtime::Simulation&, const advisor::RunConfig& cfg) {
-    return compile_montage_pegasus(params, cfg);
-  };
-  w.launch = [params](runtime::Simulation& sim,
-                      const advisor::RunConfig& cfg) {
-    pattern::replay(sim, compile_montage_pegasus(params, cfg));
-  };
+  set_baseline(w, [params](runtime::Simulation&) {
+    return compile_montage_pegasus(params);
+  });
   return w;
 }
 

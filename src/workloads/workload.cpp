@@ -1,7 +1,9 @@
 #include "workloads/workload.hpp"
 
+#include "advisor/pattern_rewrites.hpp"
 #include "analysis/spill_store.hpp"
 #include "obs/obs.hpp"
+#include "pattern/replayer.hpp"
 #include "util/error.hpp"
 
 namespace wasp::workloads {
@@ -46,6 +48,21 @@ RunOutput finish(runtime::Simulation& sim, const Workload& workload,
 }
 
 }  // namespace
+
+void set_baseline(
+    Workload& w,
+    std::function<pattern::JobPattern(runtime::Simulation&)> baseline) {
+  w.compile = [baseline = std::move(baseline)](
+                  runtime::Simulation& sim, const advisor::RunConfig& cfg) {
+    pattern::JobPattern pat = baseline(sim);
+    advisor::apply_config(pat, cfg, sim);
+    return pat;
+  };
+  w.launch = [compile = w.compile](runtime::Simulation& sim,
+                                   const advisor::RunConfig& cfg) {
+    pattern::replay(sim, compile(sim, cfg));
+  };
+}
 
 RunOutput run_with(runtime::Simulation& sim, const Workload& workload,
                    const advisor::RunConfig& cfg,

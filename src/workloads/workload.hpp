@@ -2,8 +2,11 @@
 //
 // A Workload bundles (a) the owner-declared attributes, (b) an untraced
 // setup task that stages input data, and (c) a launch function that spawns
-// every simulated process honoring a RunConfig. The runner executes the
-// whole Vani pipeline: run -> trace -> analyze -> characterize -> recommend.
+// every simulated process honoring a RunConfig. A registry model compiles
+// only its baseline pattern; set_baseline() derives compile (the baseline
+// configured by advisor::apply_config) and launch (its replay) from it.
+// The runner executes the whole Vani pipeline: run -> trace -> analyze ->
+// characterize -> recommend.
 #pragma once
 
 #include <functional>
@@ -27,13 +30,19 @@ struct Workload {
   /// Spawn all job processes into the engine. For the registry workloads this
   /// is compile + pattern::replay.
   std::function<void(runtime::Simulation&, const advisor::RunConfig&)> launch;
-  /// Compile params + RunConfig into the declarative pattern IR (null when
-  /// the model has no pattern compiler). Takes the Simulation because file
-  /// paths depend on its mount table.
+  /// The baseline pattern rewritten for a RunConfig (null when the model
+  /// has no pattern compiler). Takes the Simulation because file paths
+  /// depend on its mount table.
   std::function<pattern::JobPattern(runtime::Simulation&,
                                     const advisor::RunConfig&)>
       compile;
 };
+
+/// Set `w.compile` to advisor::apply_config(baseline(sim), cfg, sim) and
+/// `w.launch` to the replay of that pattern.
+void set_baseline(
+    Workload& w,
+    std::function<pattern::JobPattern(runtime::Simulation&)> baseline);
 
 struct RunOutput {
   analysis::WorkloadProfile profile;

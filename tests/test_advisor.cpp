@@ -190,9 +190,9 @@ TEST(RuleEngine, ReportMentionsEveryRecommendation) {
 
 TEST(RuleEngine, ConfigureStartsFromGivenBase) {
   RunConfig base;
-  base.stripe_count = 8;
+  base.node_local_tier = "tmp";
   auto cfg = RuleEngine::configure({}, base);
-  EXPECT_EQ(cfg.stripe_count, 8);
+  EXPECT_EQ(cfg.node_local_tier, "tmp");
 }
 
 }  // namespace

@@ -425,10 +425,30 @@ TEST(CliParseDeathTest, CorruptInputExitsOneWithDiagnostic) {
   EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN,
                         {"replay", pattern, "--test-scale", "--nodes", "4"}),
               ::testing::ExitedWithCode(1), "wasp_pattern: ");
+  // An undeclared comm fails at load, naming it, not later in replay.
+  EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN, {"dump", pattern}),
+              ::testing::ExitedWithCode(1),
+              "wasp_pattern: .*comm '.oops' is not declared");
   // A bad flag value is a usage error (it used to escape as an abort).
   EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN,
                         {"whatif", "hacc-fpp", "--interface", "bogus"}),
               ::testing::ExitedWithCode(2), "wasp_pattern: .*unknown layer");
+}
+
+TEST(CliParseDeathTest, ReportBadToleranceOrTopExitsTwo) {
+  const std::string a = temp_path("tol_a.manifest.json");
+  const std::string b = temp_path("tol_b.manifest.json");
+  for (const char* bad : {"abc", "0.1x", "-0.5", "inf", "nan", "io=abc",
+                          "io=-1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"diff", a, b, "--tolerance", bad}),
+                ::testing::ExitedWithCode(2), "bad value for --tolerance");
+  }
+  EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"check", a, "--baseline", b,
+                                          "--tolerance", "abc"}),
+              ::testing::ExitedWithCode(2), "bad value for --tolerance");
+  EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"summarize", a, "--top", "abc"}),
+              ::testing::ExitedWithCode(2), "bad value for --top");
 }
 
 }  // namespace

@@ -128,6 +128,38 @@ TEST(PatternYaml, MalformedInputsThrowDiagnostics) {
   } catch (const util::SimError& e) {
     EXPECT_NE(std::string(e.what()).find("comm"), std::string::npos);
   }
+  // Names that refer to no declaration: a group comm (the block-only reader
+  // takes flow syntax like "[oops" as a plain scalar), an allreduce comm,
+  // a signalled or awaited event.
+  const std::string head =
+      "name: x\ncomms:\n  - name: world\n    procs: 2\n"
+      "events:\n  - name: go\n";
+  const auto group = [&](const std::string& comm, const std::string& op) {
+    return head + "groups:\n  - comm: " + comm +
+           "\n    phases:\n      - app: a\n        ops:\n          - " + op +
+           "\n";
+  };
+  EXPECT_NO_THROW(pattern_from_yaml(group("world", "op: signal\n"
+                                                   "            event: go")));
+  for (const auto& [yaml, name] :
+       {std::pair{group("[oops", "op: barrier"), "'[oops'"},
+        std::pair{group("world", "op: allreduce\n            comm: wrld"),
+                  "'wrld'"},
+        std::pair{group("world", "op: signal\n            event: og"), "'og'"},
+        std::pair{group("world", "op: wait_event\n            event: gone"),
+                  "'gone'"}}) {
+    SCOPED_TRACE(yaml);
+    try {
+      pattern_from_yaml(yaml);
+      ADD_FAILURE() << "expected SimError";
+    } catch (const util::SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("is not declared"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(PatternEnums, RoundTripAndRejectUnknown) {

@@ -5,6 +5,7 @@
 // run configs, trace backends, and scenario-runner job counts.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,46 +42,106 @@ TEST(PatternEquivalence, IorBenchmark) {
   expect_golden("ior-shared-readback", make_ior(P), advisor::RunConfig{});
 }
 
-// The compilers consume the RunConfig, so the goldens pin the advisor's
-// knobs (§IV-D) too — each workload with the configuration its case study
-// turns on.
-TEST(PatternEquivalence, HaccCompressedAsyncDrain) {
+// The five §IV-D knob rows: each workload with the configuration its case
+// study turns on. advisor::apply_config rewrites the baseline pattern into
+// each of them.
+struct KnobRow {
+  std::string config;
+  std::function<Workload()> make;
   advisor::RunConfig cfg;
-  cfg.compress_checkpoints = true;
-  cfg.compress_on_gpu = true;
-  cfg.async_checkpoint_drain = true;
-  expect_golden("hacc-fpp-compressed-async-drain",
-                make_hacc(HaccParams::test()), cfg);
+};
+
+std::vector<KnobRow> knob_rows() {
+  std::vector<KnobRow> rows;
+  {
+    advisor::RunConfig cfg;
+    cfg.compress_checkpoints = true;
+    cfg.compress_on_gpu = true;
+    cfg.async_checkpoint_drain = true;
+    rows.push_back({"hacc-fpp-compressed-async-drain",
+                    [] { return make_hacc(HaccParams::test()); }, cfg});
+  }
+  {
+    advisor::RunConfig cfg;
+    cfg.hdf5_chunking = true;
+    cfg.preload_input_to_node_local = true;
+    rows.push_back({"cosmoflow-chunked-preloaded",
+                    [] { return make_cosmoflow(CosmoflowParams::test()); },
+                    cfg});
+  }
+  {
+    advisor::RunConfig cfg;
+    cfg.stdio_buffer = util::kMiB;
+    rows.push_back({"jag-stdio-1mib",
+                    [] { return make_jag(JagParams::test()); }, cfg});
+  }
+  {
+    advisor::RunConfig cfg;
+    cfg.intermediates_to_node_local = true;
+    cfg.stdio_buffer = 64 * util::kKiB;
+    rows.push_back({"montage-mpi-shm-intermediates",
+                    [] { return make_montage_mpi(MontageMpiParams::test()); },
+                    cfg});
+  }
+  {
+    advisor::RunConfig cfg;
+    cfg.locality_aware_placement = true;
+    cfg.stdio_buffer = 64 * util::kKiB;
+    rows.push_back(
+        {"montage-pegasus-locality-aware",
+         [] { return make_montage_pegasus(MontagePegasusParams::test()); },
+         cfg});
+  }
+  return rows;
+}
+
+void expect_knob_row(const std::string& config) {
+  for (const KnobRow& row : knob_rows()) {
+    if (row.config == config) return expect_golden(config, row.make(), row.cfg);
+  }
+  FAIL() << "no knob row " << config;
+}
+
+TEST(PatternEquivalence, HaccCompressedAsyncDrain) {
+  expect_knob_row("hacc-fpp-compressed-async-drain");
 }
 
 TEST(PatternEquivalence, CosmoflowChunkedAndPreloaded) {
-  advisor::RunConfig cfg;
-  cfg.hdf5_chunking = true;
-  cfg.preload_input_to_node_local = true;
-  expect_golden("cosmoflow-chunked-preloaded",
-                make_cosmoflow(CosmoflowParams::test()), cfg);
+  expect_knob_row("cosmoflow-chunked-preloaded");
 }
 
 TEST(PatternEquivalence, JagLargeStdioBuffer) {
-  advisor::RunConfig cfg;
-  cfg.stdio_buffer = util::kMiB;
-  expect_golden("jag-stdio-1mib", make_jag(JagParams::test()), cfg);
+  expect_knob_row("jag-stdio-1mib");
 }
 
 TEST(PatternEquivalence, MontageMpiShmIntermediates) {
-  advisor::RunConfig cfg;
-  cfg.intermediates_to_node_local = true;
-  cfg.stdio_buffer = 64 * util::kKiB;
-  expect_golden("montage-mpi-shm-intermediates",
-                make_montage_mpi(MontageMpiParams::test()), cfg);
+  expect_knob_row("montage-mpi-shm-intermediates");
 }
 
 TEST(PatternEquivalence, MontagePegasusLocalityAware) {
-  advisor::RunConfig cfg;
-  cfg.locality_aware_placement = true;
-  cfg.stdio_buffer = 64 * util::kKiB;
-  expect_golden("montage-pegasus-locality-aware",
-                make_montage_pegasus(MontagePegasusParams::test()), cfg);
+  expect_knob_row("montage-pegasus-locality-aware");
+}
+
+// The knob rewrites read only the pattern, never the compiler: a baseline
+// dumped to YAML and loaded back, then configured, replays to each knob row.
+TEST(PatternEquivalence, KnobRowsFromDumpedBaseline) {
+  for (const KnobRow& row : knob_rows()) {
+    SCOPED_TRACE(row.config);
+    const Workload w = row.make();
+    runtime::Simulation compile_sim(golden_cluster());
+    pattern::JobPattern pat = pattern::pattern_from_yaml(
+        pattern::to_yaml(w.compile(compile_sim, advisor::RunConfig{})));
+    advisor::apply_config(pat, row.cfg, compile_sim);
+    Workload v;
+    v.decl = w.decl;
+    v.setup = w.setup;
+    v.launch = [&pat](runtime::Simulation& sim, const advisor::RunConfig&) {
+      pattern::replay(sim, pat);
+    };
+    runtime::Simulation sim(golden_cluster());
+    testutil::expect_golden(
+        testutil::observe(row.config, sim, v, advisor::RunConfig{}));
+  }
 }
 
 // Replayed runs through the spill-to-disk trace backend must match the
@@ -134,25 +195,13 @@ TEST(PatternEquivalence, RunManyIdenticalAcrossJobCounts) {
 
 // §IV-D.1 as a pure IR mutation: applying the shm-preload rewrite to the
 // compiled CosmoFlow pattern must reproduce the Fig. 7 speedup direction
-// (training reads move off the PFS, the job gets faster), and must match
-// what the compiler emits when the RunConfig asks for preloading.
+// (training reads move off the PFS, the job gets faster).
 TEST(PatternEquivalence, CosmoflowPreloadRewriteReproducesFig7Direction) {
   auto w = make_cosmoflow(CosmoflowParams::test());
   runtime::Simulation compile_sim(golden_cluster());
   auto baseline_pat = w.compile(compile_sim, advisor::RunConfig{});
-
-  advisor::PreloadSpec spec;
-  ASSERT_TRUE(
-      advisor::preload_spec_from_meta(baseline_pat, "/dev/shm", &spec));
   auto rewritten = baseline_pat;
-  advisor::apply_preload(rewritten, spec);
-
-  // The rewrite equals recompiling with the knob on.
-  advisor::RunConfig preload_cfg;
-  preload_cfg.preload_input_to_node_local = true;
-  runtime::Simulation compile_sim2(golden_cluster());
-  EXPECT_EQ(pattern::to_yaml(rewritten),
-            pattern::to_yaml(w.compile(compile_sim2, preload_cfg)));
+  ASSERT_TRUE(advisor::apply_preload(rewritten, "/dev/shm"));
 
   auto replay_pattern = [&](const pattern::JobPattern& pat) {
     Workload v;

@@ -229,11 +229,9 @@ int run_main(int argc, char** argv) {
     } else if (arg == "--preload") {
       const std::string mount = next();
       rewrites.push_back([mount](pattern::JobPattern& p) {
-        advisor::PreloadSpec spec;
-        if (!advisor::preload_spec_from_meta(p, mount, &spec)) {
+        if (!advisor::apply_preload(p, mount)) {
           die("pattern carries no preload metadata");
         }
-        advisor::apply_preload(p, spec);
       });
     } else {
       die("unknown option: " + arg);

@@ -14,6 +14,7 @@
 // on an unreadable or malformed input file (tools/cli_contract.hpp); 2 on
 // usage errors.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -25,6 +26,7 @@
 #include "obs/report.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace wasp;
@@ -41,6 +43,21 @@ int usage() {
          "  wasp_report check <results.json> --baseline <baseline.json>\n"
          "              [--tolerance X] [--advisory] [--out FILE]\n";
   return 2;
+}
+
+/// A --tolerance band: a finite number >= 0 with nothing after it. Anything
+/// else exits 2 (an unchecked strtod read "abc" as a silent 0% band).
+double tolerance_arg(const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(v) || v < 0.0) {
+    std::cerr << "bad value for --tolerance: '" << text
+              << "' (expected a number >= 0)\n";
+    usage();
+    std::exit(2);
+  }
+  return v;
 }
 
 std::string fmt(double v) {
@@ -88,8 +105,8 @@ int cmd_summarize(const std::vector<std::string>& args) {
   std::size_t top = 20;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--top" && i + 1 < args.size()) {
-      top = static_cast<std::size_t>(std::strtoull(args[++i].c_str(),
-                                                   nullptr, 10));
+      top = static_cast<std::size_t>(
+          util::cli_uint("--top", args[++i], [] { usage(); }));
       if (top == 0) return usage();
     } else if (path.empty() && args[i][0] != '-') {
       path = args[i];
@@ -129,10 +146,10 @@ int cmd_diff(const std::vector<std::string>& args) {
       const std::string v = args[++i];
       const auto eq = v.find('=');
       if (eq == std::string::npos) {
-        opts.tolerance = std::strtod(v.c_str(), nullptr);
+        opts.tolerance = tolerance_arg(v);
       } else {
         opts.overrides.emplace_back(v.substr(0, eq),
-                                    std::strtod(v.c_str() + eq + 1, nullptr));
+                                    tolerance_arg(v.substr(eq + 1)));
       }
     } else if (args[i] == "--all") {
       show_all = true;
@@ -178,7 +195,7 @@ int cmd_check(const std::vector<std::string>& args) {
     if (args[i] == "--baseline" && i + 1 < args.size()) {
       baseline_path = args[++i];
     } else if (args[i] == "--tolerance" && i + 1 < args.size()) {
-      opts.tolerance = std::strtod(args[++i].c_str(), nullptr);
+      opts.tolerance = tolerance_arg(args[++i]);
     } else if (args[i] == "--advisory") {
       advisory = true;
     } else if (args[i] == "--out" && i + 1 < args.size()) {
