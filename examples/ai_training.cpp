@@ -35,9 +35,7 @@ int main() {
             << advisor::RuleEngine::report(base.recommendations) << "\n";
 
   auto cfg = advisor::RuleEngine::configure(base.recommendations);
-  std::cout << "running optimized (preload="
-            << (cfg.preload_input_to_node_local ? "on" : "off")
-            << ", hdf5 chunking=" << (cfg.hdf5_chunking ? "on" : "off")
+  std::cout << "running optimized (" << advisor::to_flags(cfg.rewrites)
             << ")...\n";
   auto opt = workloads::run(cluster::lassen(32), workloads::make_cosmoflow(P),
                             cfg);

@@ -1,6 +1,5 @@
-// Middleware stack study: compose the two §II-B middleware layers —
-// hierarchical buffering (Hermes-style TieredBuffer) and transparent
-// compression (HCompress-style CompressedPosix) — on a checkpoint-heavy
+// Middleware stack study: put transparent compression (HCompress-style
+// CompressedPosix, the §II-B middleware layer) under a checkpoint-heavy
 // pipeline, and show how the workload attributes pick the right stack.
 //
 // Build & run:  ./build/examples/example_middleware_stack
@@ -8,7 +7,6 @@
 #include <iostream>
 
 #include "io/compression.hpp"
-#include "io/tiered_buffer.hpp"
 #include "util/table.hpp"
 
 using namespace wasp;
@@ -60,21 +58,6 @@ Task<void> rank_compressed(Simulation& s, std::uint16_t a, int rank,
   co_await p.compute(sim::seconds(1));
 }
 
-/// Buffered: stage on /dev/shm, flush in the job epilogue.
-Task<void> rank_buffered(Simulation& s, std::uint16_t a, int rank,
-                         io::TieredBuffer& tb) {
-  Proc p(s, a, rank, rank % s.spec().nodes);
-  co_await p.compute(sim::seconds(2));
-  const sim::Time t0 = p.now();
-  auto f = co_await tb.open(p, ckpt_path(rank), io::OpenMode::kWrite);
-  co_await tb.write(p, f, kTransfer,
-                    static_cast<std::uint32_t>(kCheckpoint / kTransfer));
-  co_await tb.close(p, f);
-  g_stall_sum += sim::to_seconds(p.now() - t0);
-  co_await p.compute(sim::seconds(1));
-  co_await tb.flush_all(p);  // durability in the job epilogue
-}
-
 struct CaseResult {
   double job_sec;
   double mean_stall;
@@ -84,15 +67,11 @@ CaseResult run_case(const char* which, bool gpu = false) {
   g_stall_sum = 0;
   Simulation sim(cluster::lassen(4));
   const auto app = sim.tracer().register_app("mw");
-  io::TieredBufferConfig tb_cfg;
-  io::TieredBuffer tb(sim, tb_cfg);
   for (int r = 0; r < kRanks; ++r) {
     if (std::string(which) == "plain") {
       sim.engine().spawn(rank_plain(sim, app, r));
-    } else if (std::string(which) == "compressed") {
-      sim.engine().spawn(rank_compressed(sim, app, r, gpu));
     } else {
-      sim.engine().spawn(rank_buffered(sim, app, r, tb));
+      sim.engine().spawn(rank_compressed(sim, app, r, gpu));
     }
   }
   sim.engine().run();
@@ -115,11 +94,9 @@ int main() {
   row("direct PFS", run_case("plain"));
   row("+ compression (CPU codec)", run_case("compressed", false));
   row("+ compression (GPU codec)", run_case("compressed", true));
-  row("+ tiered buffering (shm, write-back)", run_case("buffered"));
   table.print(std::cout);
-  std::cout << "\nThe advisor picks between these from three attributes:\n"
+  std::cout << "\nThe advisor picks between these from two attributes:\n"
                "  data_dist     -> is compression worth it at all?\n"
-               "  # gpus/node   -> where should the codec run?\n"
-               "  node-local BB -> is there a tier to stage on?\n";
+               "  # gpus/node   -> where should the codec run?\n";
   return 0;
 }

@@ -108,8 +108,6 @@ int main() {
             << "\n  optimized I/O "
             << util::format_seconds(opt.profile.io_time_fraction *
                                     opt.job_seconds)
-            << "  (intermediates on "
-            << (cfg.intermediates_to_node_local ? "/dev/shm" : "GPFS")
-            << ")\n";
+            << "  (rewrites: " << advisor::to_flags(cfg.rewrites) << ")\n";
   return 0;
 }

@@ -1,59 +1,56 @@
 // Quickstart: the full WASP pipeline on a small custom workload.
 //
 //   1. describe a cluster                (cluster::ClusterSpec)
-//   2. write a workload as coroutines    (runtime::Proc + io::Posix)
+//   2. write a workload as a pattern     (pattern::ops + set_baseline)
 //   3. run it traced                     (workloads::run)
 //   4. characterize the I/O behavior     (entities/attributes -> YAML)
-//   5. let the advisor reconfigure       (RuleEngine -> RunConfig)
+//   5. let the advisor reconfigure       (RuleEngine -> rewrites)
 //   6. re-run optimized and compare
 //
 // Build & run:  ./build/examples/example_quickstart
 #include <iostream>
 
 #include "advisor/rules.hpp"
-#include "io/stdio.hpp"
 #include "workloads/workload.hpp"
 
 using namespace wasp;
 
 namespace {
 
-// A toy producer/consumer workflow: every rank writes a per-rank scratch
-// file in tiny 512B STDIO transfers, then the next rank reads it back.
-// The RunConfig's stdio_buffer is honored — which is exactly the knob the
-// advisor's stdio-buffer rule turns.
-sim::Task<void> rank_body(runtime::Simulation& sim, std::uint16_t app,
-                          mpi::Comm& comm, int rank,
-                          advisor::RunConfig cfg) {
-  runtime::Proc p(sim, app, rank, comm.node_of(rank), &comm);
-  io::Stdio stdio(p, cfg.stdio_buffer);
-
-  auto out = co_await stdio.fopen(
-      "/p/gpfs1/demo/part_" + std::to_string(rank), io::OpenMode::kWrite);
-  co_await stdio.fwrite(out, 512, 16384);  // 8MiB in 512B ops
-  co_await stdio.fclose(out);
-  co_await p.barrier();
-
-  const int peer = (rank + 1) % comm.size();
-  auto in = co_await stdio.fopen(
-      "/p/gpfs1/demo/part_" + std::to_string(peer), io::OpenMode::kRead);
-  co_await stdio.fread(in, 512, 16384);
-  co_await stdio.fclose(in);
-  co_await p.barrier();
-}
-
+// A toy producer/consumer workflow as a pattern: every rank writes a
+// per-rank scratch file in tiny 512B STDIO transfers, then the next rank
+// reads it back. set_baseline() applies the advisor's rewrites to it — the
+// stdio-buffer rule's "stdio-buffer" rewrite is the one that matters here.
 workloads::Workload make_demo() {
+  namespace po = pattern::ops;
+  const auto stdio = pattern::Layer::kStdio;
+  const auto lit = [](std::int64_t v) { return pattern::Expr::lit(v); };
   workloads::Workload w;
   w.decl.name = "quickstart-demo";
   w.decl.data_repr = "1D";
   w.decl.dataset_format = "bin";
-  w.launch = [](runtime::Simulation& sim, const advisor::RunConfig& cfg) {
-    const auto app = sim.tracer().register_app("demo");
-    auto& comm = sim.add_comm(/*procs=*/16, /*nodes=*/4);
-    for (int r = 0; r < comm.size(); ++r) {
-      sim.engine().spawn(rank_body(sim, app, comm, r, cfg));
-    }
-  };
+  workloads::set_baseline(w, [=](runtime::Simulation&) {
+    pattern::JobPattern pat;
+    pat.name = "quickstart-demo";
+    pat.apps = {"demo"};
+    pat.comms.push_back({"world", /*procs=*/16, /*nodes=*/4, false});
+    pattern::PhasePattern ph;
+    ph.app = "demo";
+    ph.ops = {
+        po::open(stdio, "out", "/p/gpfs1/demo/part_{rank}",
+                 io::OpenMode::kWrite),
+        po::write(stdio, "out", lit(512), lit(16384)),  // 8MiB in 512B ops
+        po::close(stdio, "out"), po::barrier(),
+        po::open(stdio, "in", "/p/gpfs1/demo/part_{(rank + 1) % 16}",
+                 io::OpenMode::kRead),
+        po::read(stdio, "in", lit(512), lit(16384)), po::close(stdio, "in"),
+        po::barrier()};
+    pattern::LaneGroup g;
+    g.comm = "world";
+    g.phases.push_back(std::move(ph));
+    pat.groups.push_back(std::move(g));
+    return pat;
+  });
   return w;
 }
 

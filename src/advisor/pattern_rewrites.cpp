@@ -1,6 +1,9 @@
 #include "advisor/pattern_rewrites.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -9,6 +12,7 @@
 
 #include "runtime/simulation.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace wasp::advisor {
 namespace {
@@ -96,6 +100,26 @@ Expr lit(std::uint64_t v) { return Expr::lit(static_cast<std::int64_t>(v)); }
 Expr pieces_of(const std::string& path, std::uint64_t unit) {
   return Expr("max(size_of(\"" + path + "\") / " + std::to_string(unit) +
               ", 1)");
+}
+
+/// §IV-D.4 (shm redirect): rewrite every path that starts with `from` to
+/// start with `to` — op path templates and size_of("...") references
+/// inside expressions alike.
+void redirect_prefix(pattern::JobPattern& pat, const std::string& from,
+                     const std::string& to) {
+  if (from.empty() || from == to) return;
+  for_each_tree(pat, [&](std::vector<Op>& ops) {
+    for_each_op(ops, [&](Op& o) {
+      if (o.path.compare(0, from.size(), from) == 0) {
+        o.path = to + o.path.substr(from.size());
+      }
+      for (Expr* e : {&o.offset, &o.size, &o.count, &o.fetch_ops,
+                      &o.wrap_bytes, &o.wrap_limit, &o.begin, &o.end,
+                      &o.step, &o.when}) {
+        *e = retarget_expr(*e, from, to);
+      }
+    });
+  });
 }
 
 /// §IV-D.4: consumers read the "locality.local" copy instead of the
@@ -205,6 +229,62 @@ void intermediates_to_node_local(pattern::JobPattern& pat,
                   tier_mount + meta_str(pat, "intermediates.tier_dir"));
 }
 
+/// §IV-D.1: stage the inputs a compiler described in the pattern's meta
+/// ("preload.*" keys: source dir, file suffix and count, nodes, ranks per
+/// node, file size, copy chunk, paced-copy floor) into
+/// `tier_mount + "/" + pat.name + "/"`. Every path under the source dir is
+/// retargeted to the node-local copies, and an MPIFileUtils-style paced
+/// parallel copy loop (plus a barrier) is prepended to the first phase of
+/// the first lane group.
+void apply_preload(pattern::JobPattern& pat, const std::string& tier_mount) {
+  const std::string src_dir = meta_str(pat, "preload.src_dir");
+  const std::string dst_dir = tier_mount + "/" + pat.name + "/";
+  const std::string suffix = meta_str(pat, "preload.suffix");
+  const std::uint64_t files = meta_u64(pat, "preload.files");
+  const std::uint64_t nodes = meta_u64(pat, "preload.nodes", 1);
+  const std::uint64_t ppn = meta_u64(pat, "preload.ppn", 1);
+  const std::uint64_t chunk = meta_u64(pat, "preload.chunk", 4 * util::kMiB);
+  WASP_CHECK_MSG(!pat.groups.empty() && !pat.groups.front().phases.empty(),
+                 "pattern: apply_preload needs at least one lane phase");
+  WASP_CHECK_MSG(files > 0 && chunk > 0,
+                 "pattern: preload meta has no files / zero chunk");
+
+  // Consumers read the node-local copies...
+  redirect_prefix(pat, src_dir, dst_dir);
+
+  // ...which the prepended paced copy loop creates. Every local rank
+  // stages an interleaved slice of its node's shard: file indices
+  // node + local*nodes + m*(ppn*nodes).
+  const std::string src = src_dir + "{i}" + suffix;
+  const std::string dst = dst_dir + "{i}" + suffix;
+  const Expr chunks =
+      lit(std::max<std::uint64_t>(meta_u64(pat, "preload.file_size") / chunk,
+                                  1));
+  std::vector<Op> body;
+  body.push_back(po::stat(src));
+  body.push_back(po::open(pattern::Layer::kPosix, "pre_src", src,
+                          io::OpenMode::kRead));
+  body.push_back(po::open(pattern::Layer::kPosix, "pre_dst", dst,
+                          io::OpenMode::kWrite));
+  body.push_back(po::paced_read("pre_src", lit(chunk), chunks,
+                                meta_u64(pat, "preload.floor_ns")));
+  body.push_back(
+      po::write(pattern::Layer::kPosix, "pre_dst", lit(chunk), chunks));
+  body.push_back(po::close(pattern::Layer::kPosix, "pre_src"));
+  body.push_back(po::close(pattern::Layer::kPosix, "pre_dst"));
+
+  std::vector<Op> pre;
+  pre.push_back(po::loop(
+      "i", Expr("node + local * " + std::to_string(nodes)), lit(files),
+      std::move(body),
+      Expr(std::to_string(ppn) + " * " + std::to_string(nodes))));
+  pre.push_back(po::barrier());
+
+  auto& ops = pat.groups.front().phases.front().ops;
+  ops.insert(ops.begin(), std::make_move_iterator(pre.begin()),
+             std::make_move_iterator(pre.end()));
+}
+
 /// Handles that must stay on their layer: ops that exist on exactly one
 /// interface pin the file handle they touch.
 void collect_pinned(const std::vector<Op>& ops,
@@ -273,114 +353,186 @@ void rewrite_layer(std::vector<Op>& ops, const std::set<std::string>& pinned,
   }
 }
 
+// ---- The rewrite table ----------------------------------------------------
+
+/// Argument kinds. Each parser throws util::SimError on a malformed value.
+enum class Arg { kSize, kCount, kRatio, kCodec, kLayer, kText };
+
+util::Bytes size_arg(const std::string& s) {
+  // Plain byte counts and the tables' "16MB" format alike.
+  if (auto b = util::parse_bytes(s)) return *b;
+  if (auto n = util::parse_uint(s)) return static_cast<util::Bytes>(*n);
+  throw util::SimError("bad size: '" + s + "'");
+}
+
+int count_arg(const std::string& s) {
+  const auto n = util::parse_uint(s);
+  if (!n || *n > INT_MAX) throw util::SimError("bad count: '" + s + "'");
+  return static_cast<int>(*n);
+}
+
+double ratio_arg(const std::string& s) {
+  double v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || !std::isfinite(v) ||
+      v <= 0) {
+    throw util::SimError("bad ratio: '" + s + "'");
+  }
+  return v;
+}
+
+bool gpu_arg(const std::string& s) {
+  if (s != "cpu" && s != "gpu") {
+    throw util::SimError("bad codec: '" + s + "' (want cpu|gpu)");
+  }
+  return s == "gpu";
+}
+
+void check_arg(Arg kind, const std::string& s) {
+  switch (kind) {
+    case Arg::kSize: size_arg(s); break;
+    case Arg::kCount: count_arg(s); break;
+    case Arg::kRatio: ratio_arg(s); break;
+    case Arg::kCodec: gpu_arg(s); break;
+    case Arg::kLayer: pattern::layer_from(s); break;
+    case Arg::kText:
+      if (s.empty()) throw util::SimError("empty argument");
+      break;
+  }
+}
+
+/// Mount point of the node-local tier named `name`.
+std::string tier(runtime::Simulation& sim, const std::string& name) {
+  return sim.node_local(name).mount();
+}
+
+using Args = std::vector<std::string>;
+using Pat = pattern::JobPattern;
+using Sim = runtime::Simulation;
+
+struct Entry {
+  const char* name;
+  std::vector<Arg> args;
+  void (*apply)(Pat&, const Args&, Sim&);
+};
+
+/// Every rewrite, in canonical order: the order RuleEngine::configure
+/// applies them. Compression precedes the drain, which moves the
+/// checkpoints compression marked off "checkpoint.dir"; the reverse order
+/// would compress the drain's PFS copy instead. The last three are what-ifs
+/// no rule emits.
+const std::vector<Entry>& table() {
+  static const std::vector<Entry> entries = {
+      {"stdio-buffer", {Arg::kSize},
+       [](Pat& pat, const Args& a, Sim&) {
+         const util::Bytes buffer = size_arg(a[0]);
+         for (auto& g : pat.groups) g.stdio_buffer = buffer;
+         pat.dag.stdio_buffer = buffer;
+       }},
+      {"hdf5-chunk", {Arg::kSize},
+       [](Pat& pat, const Args& a, Sim&) {
+         for (auto& g : pat.groups) g.hdf5.chunk_size = size_arg(a[0]);
+       }},
+      {"mpiio", {Arg::kSize, Arg::kCount},
+       [](Pat& pat, const Args& a, Sim&) {
+         for (auto& g : pat.groups) {
+           g.mpiio.cb_buffer = size_arg(a[0]);
+           g.mpiio.aggregators_per_node = count_arg(a[1]);
+         }
+       }},
+      {"locality", {},
+       [](Pat& pat, const Args&, Sim&) {
+         pat.dag.locality_aware = true;
+         read_local_copies(pat);
+       }},
+      {"compress", {Arg::kRatio, Arg::kCodec},
+       [](Pat& pat, const Args& a, Sim&) {
+         for (auto& g : pat.groups) {
+           g.codec.ratio = ratio_arg(a[0]);
+           g.codec.use_gpu = gpu_arg(a[1]);
+         }
+         compress_checkpoints(pat);
+       }},
+      {"async-drain", {Arg::kText},
+       [](Pat& pat, const Args& a, Sim& sim) {
+         if (!pat.find_meta("checkpoint.dir")) return;
+         drain_checkpoints(pat, sim.has_shared_bb() ? sim.shared_bb().mount()
+                                                    : tier(sim, a[0]));
+       }},
+      {"intermediates", {Arg::kText},
+       [](Pat& pat, const Args& a, Sim& sim) {
+         if (!pat.find_meta("intermediates.dir")) return;
+         intermediates_to_node_local(pat, tier(sim, a[0]));
+       }},
+      {"preload", {Arg::kText},
+       [](Pat& pat, const Args& a, Sim& sim) {
+         if (!pat.find_meta("preload.src_dir")) return;
+         apply_preload(pat, tier(sim, a[0]));
+       }},
+      {"transfer", {Arg::kSize},
+       [](Pat& pat, const Args& a, Sim&) {
+         set_transfer_size(pat, size_arg(a[0]));
+       }},
+      {"interface", {Arg::kLayer},
+       [](Pat& pat, const Args& a, Sim&) {
+         set_interface(pat, pattern::layer_from(a[0]));
+       }},
+      {"redirect", {Arg::kText, Arg::kText},
+       [](Pat& pat, const Args& a, Sim&) { redirect_prefix(pat, a[0], a[1]); }},
+  };
+  return entries;
+}
+
+const Entry* find_entry(const std::string& name) {
+  for (const Entry& e : table()) {
+    if (name == e.name) return &e;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
-bool apply_preload(pattern::JobPattern& pat, const std::string& tier_mount) {
-  const std::string src_dir = meta_str(pat, "preload.src_dir");
-  if (src_dir.empty()) return false;
-  const std::string dst_dir = tier_mount + "/" + pat.name + "/";
-  const std::string suffix = meta_str(pat, "preload.suffix");
-  const std::uint64_t files = meta_u64(pat, "preload.files");
-  const std::uint64_t nodes = meta_u64(pat, "preload.nodes", 1);
-  const std::uint64_t ppn = meta_u64(pat, "preload.ppn", 1);
-  const std::uint64_t chunk = meta_u64(pat, "preload.chunk", 4 * util::kMiB);
-  WASP_CHECK_MSG(!pat.groups.empty() && !pat.groups.front().phases.empty(),
-                 "pattern: apply_preload needs at least one lane phase");
-  WASP_CHECK_MSG(files > 0 && chunk > 0,
-                 "pattern: preload meta has no files / zero chunk");
-
-  // Consumers read the node-local copies...
-  redirect_prefix(pat, src_dir, dst_dir);
-
-  // ...which the prepended paced copy loop creates. Every local rank
-  // stages an interleaved slice of its node's shard: file indices
-  // node + local*nodes + m*(ppn*nodes).
-  const std::string src = src_dir + "{i}" + suffix;
-  const std::string dst = dst_dir + "{i}" + suffix;
-  const Expr chunks =
-      lit(std::max<std::uint64_t>(meta_u64(pat, "preload.file_size") / chunk,
-                                  1));
-  std::vector<Op> body;
-  body.push_back(po::stat(src));
-  body.push_back(po::open(pattern::Layer::kPosix, "pre_src", src,
-                          io::OpenMode::kRead));
-  body.push_back(po::open(pattern::Layer::kPosix, "pre_dst", dst,
-                          io::OpenMode::kWrite));
-  body.push_back(po::paced_read("pre_src", lit(chunk), chunks,
-                                meta_u64(pat, "preload.floor_ns")));
-  body.push_back(
-      po::write(pattern::Layer::kPosix, "pre_dst", lit(chunk), chunks));
-  body.push_back(po::close(pattern::Layer::kPosix, "pre_src"));
-  body.push_back(po::close(pattern::Layer::kPosix, "pre_dst"));
-
-  std::vector<Op> pre;
-  pre.push_back(po::loop(
-      "i", Expr("node + local * " + std::to_string(nodes)), lit(files),
-      std::move(body),
-      Expr(std::to_string(ppn) + " * " + std::to_string(nodes))));
-  pre.push_back(po::barrier());
-
-  auto& ops = pat.groups.front().phases.front().ops;
-  ops.insert(ops.begin(), std::make_move_iterator(pre.begin()),
-             std::make_move_iterator(pre.end()));
-  return true;
+int rewrite_arity(const std::string& name) {
+  const Entry* e = find_entry(name);
+  return e == nullptr ? -1 : static_cast<int>(e->args.size());
 }
 
-void redirect_prefix(pattern::JobPattern& pat, const std::string& from,
-                     const std::string& to) {
-  if (from.empty() || from == to) return;
-  for_each_tree(pat, [&](std::vector<Op>& ops) {
-    for_each_op(ops, [&](Op& o) {
-      if (o.path.compare(0, from.size(), from) == 0) {
-        o.path = to + o.path.substr(from.size());
-      }
-      for (Expr* e : {&o.offset, &o.size, &o.count, &o.fetch_ops,
-                      &o.wrap_bytes, &o.wrap_limit, &o.begin, &o.end,
-                      &o.step, &o.when}) {
-        *e = retarget_expr(*e, from, to);
-      }
-    });
-  });
+std::size_t rewrite_rank(const std::string& name) {
+  const Entry* e = find_entry(name);
+  if (e == nullptr) throw util::SimError("unknown rewrite: " + name);
+  return static_cast<std::size_t>(e - table().data());
 }
 
-void set_hdf5_chunking(pattern::JobPattern& pat, util::Bytes chunk_size) {
-  for (auto& g : pat.groups) g.hdf5.chunk_size = chunk_size;
+void check_rewrite(const Rewrite& rw) {
+  const Entry* e = find_entry(rw.name);
+  if (e == nullptr) throw util::SimError("unknown rewrite: " + rw.name);
+  if (rw.args.size() != e->args.size()) {
+    throw util::SimError("rewrite " + rw.name + " takes " +
+                         std::to_string(e->args.size()) + " argument(s), got " +
+                         std::to_string(rw.args.size()));
+  }
+  for (std::size_t i = 0; i < rw.args.size(); ++i) {
+    try {
+      check_arg(e->args[i], rw.args[i]);
+    } catch (const util::SimError& err) {
+      throw util::SimError("rewrite " + rw.name + ": " + err.what());
+    }
+  }
 }
 
-void set_stdio_buffer(pattern::JobPattern& pat, util::Bytes buffer) {
-  for (auto& g : pat.groups) g.stdio_buffer = buffer;
-  pat.dag.stdio_buffer = buffer;
+void apply_rewrite(pattern::JobPattern& pat, const Rewrite& rw,
+                   runtime::Simulation& sim) {
+  check_rewrite(rw);
+  find_entry(rw.name)->apply(pat, rw.args, sim);
 }
 
-void apply_config(pattern::JobPattern& pat, const RunConfig& cfg,
-                  runtime::Simulation& sim) {
-  set_stdio_buffer(pat, cfg.stdio_buffer);
-  set_hdf5_chunking(pat, cfg.hdf5_chunking ? cfg.hdf5_chunk_size : 0);
-  for (auto& g : pat.groups) {
-    g.mpiio = cfg.mpiio;
-    g.codec.use_gpu = cfg.compress_on_gpu;
-    g.codec.ratio = cfg.compression_ratio;
+std::string to_flags(const std::vector<Rewrite>& rewrites) {
+  std::string out;
+  for (const Rewrite& rw : rewrites) {
+    out += (out.empty() ? "--" : " --") + rw.name;
+    for (const std::string& a : rw.args) out += " " + a;
   }
-  if (cfg.locality_aware_placement) {
-    pat.dag.locality_aware = true;
-    read_local_copies(pat);
-  }
-  if (cfg.compress_checkpoints) compress_checkpoints(pat);
-  // A tier is looked up only when the pattern carries the knob's meta, so
-  // a cluster without it still runs a pattern that ignores the knob.
-  const auto tier = [&] {
-    return sim.node_local(cfg.node_local_tier).mount();
-  };
-  if (cfg.async_checkpoint_drain && pat.find_meta("checkpoint.dir")) {
-    drain_checkpoints(pat,
-                      sim.has_shared_bb() ? sim.shared_bb().mount() : tier());
-  }
-  if (cfg.intermediates_to_node_local && pat.find_meta("intermediates.dir")) {
-    intermediates_to_node_local(pat, tier());
-  }
-  if (cfg.preload_input_to_node_local && pat.find_meta("preload.src_dir")) {
-    apply_preload(pat, tier());
-  }
+  return out;
 }
 
 int set_transfer_size(pattern::JobPattern& pat, util::Bytes transfer) {

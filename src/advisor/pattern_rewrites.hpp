@@ -3,17 +3,20 @@
 // Each of the advisor's configuration changes — preload inputs to a
 // node-local tier, redirect intermediates to shm, enable HDF5 chunking,
 // grow the STDIO buffer, compress or asynchronously drain checkpoints —
-// is expressed here as a pure IR -> IR transform over a baseline
-// JobPattern. Compilers emit only the baseline; apply_config() turns a
-// RunConfig into the sequence of rewrites. Evaluating a recommendation is
-// then: compile the baseline once, rewrite, replay, compare profiles. The
-// rewrites never re-derive workload structure: whatever a knob needs to
-// know about the workload, the compiler records in the pattern's meta.
+// is a pure IR -> IR transform over a baseline JobPattern, named by a
+// Rewrite: the `wasp_pattern whatif --<name> <args...>` flag as data. One
+// table maps every name to its arguments and its transform, in the
+// canonical order RuleEngine::configure applies them. Evaluating a
+// recommendation is then: compile the baseline once, rewrite, replay,
+// compare profiles. The rewrites never re-derive workload structure:
+// whatever a rewrite needs to know about the workload, the compiler
+// records in the pattern's meta (DESIGN.md §11), and a rewrite whose meta
+// the pattern lacks is a no-op.
 #pragma once
 
 #include <string>
+#include <vector>
 
-#include "advisor/config.hpp"
 #include "pattern/pattern.hpp"
 
 namespace wasp::runtime {
@@ -22,39 +25,50 @@ class Simulation;
 
 namespace wasp::advisor {
 
-/// §IV-D.1: stage the inputs a compiler described in the pattern's meta
-/// ("preload.*" keys: source dir, file suffix and count, nodes, ranks per
-/// node, file size, copy chunk, paced-copy floor) into
-/// `tier_mount + "/" + pat.name + "/"`. Every path under the source dir is
-/// retargeted to the node-local copies, and an MPIFileUtils-style paced
-/// parallel copy loop (plus a barrier) is prepended to the first phase of
-/// the first lane group. Returns false when the pattern carries no preload
-/// metadata.
-bool apply_preload(pattern::JobPattern& pat, const std::string& tier_mount);
+/// One named rewrite and its arguments, spelled as on the command line:
+///   transfer SIZE            rescale constant transfers (set_transfer_size)
+///   interface posix|stdio    move plain open/IO chains (set_interface)
+///   stdio-buffer SIZE        setvbuf size of every lane group and the DAG
+///   hdf5-chunk SIZE          HDF5 dataset chunk size (0 = contiguous)
+///   mpiio CB_BUFFER AGGS     ROMIO cb_buffer_size and aggregators per node
+///   redirect FROM TO         rewrite path prefixes
+///   locality                 DAG locality-aware placement, local copies
+///   compress RATIO cpu|gpu   checkpoint compression (HCompress-style)
+///   async-drain TIER         checkpoints on a fast tier, drained to the PFS
+///   intermediates TIER       workflow intermediates on a node-local tier
+///   preload TIER             stage inputs into a node-local tier
+/// SIZE is a byte count ("1048576") or a table size ("16MB"). TIER names a
+/// node-local tier of the cluster ("shm", "tmp"); async-drain prefers the
+/// cluster's shared burst buffer when it has one.
+struct Rewrite {
+  std::string name;
+  std::vector<std::string> args;
 
-/// §IV-D.4 (shm redirect): rewrite every path that starts with `from` to
-/// start with `to` — op path templates and size_of("...") references
-/// inside expressions alike.
-void redirect_prefix(pattern::JobPattern& pat, const std::string& from,
-                     const std::string& to);
+  bool operator==(const Rewrite&) const = default;
+};
 
-/// §IV-D.3: set the HDF5 dataset chunk size of every lane group (0 turns
-/// chunking off and restores the deep object-header walk per open).
-void set_hdf5_chunking(pattern::JobPattern& pat, util::Bytes chunk_size);
+/// Validate `rw` against the table: throws util::SimError naming the
+/// problem on an unknown name, a wrong arity or a malformed argument.
+/// (Tier names are resolved, and checked, when the rewrite is applied.)
+void check_rewrite(const Rewrite& rw);
 
-/// §IV-D.5: set the STDIO buffer of every lane group and of the DAG.
-void set_stdio_buffer(pattern::JobPattern& pat, util::Bytes buffer);
+/// Number of arguments rewrite `name` takes, or -1 when no rewrite has
+/// that name.
+int rewrite_arity(const std::string& name);
 
-/// Configure a baseline pattern as `cfg` says: the one reader of
-/// RunConfig's middleware, placement, transformation and scheduling knobs.
-/// Middleware settings go on every lane group; each enabled placement,
-/// compression or drain knob applies its rewrite, driven by the meta the
-/// compiler recorded ("preload.*", "checkpoint.*", "intermediates.*",
-/// "locality.*"; DESIGN.md §11 maps knob -> rewrite -> meta keys). Tier
-/// mounts come from `sim`. A knob whose meta the pattern does not carry is
-/// a no-op.
-void apply_config(pattern::JobPattern& pat, const RunConfig& cfg,
-                  runtime::Simulation& sim);
+/// Position of rewrite `name` in the table's canonical order.
+std::size_t rewrite_rank(const std::string& name);
+
+/// Apply one rewrite to `pat`. Tier mounts come from `sim`; a tier is
+/// resolved only when the pattern carries the rewrite's meta, so a cluster
+/// without the tier still runs a pattern the rewrite does not touch.
+/// Throws util::SimError on a bad rewrite or an unknown tier.
+void apply_rewrite(pattern::JobPattern& pat, const Rewrite& rw,
+                   runtime::Simulation& sim);
+
+/// The rewrites as `wasp_pattern whatif` flags: "--name arg ...", space
+/// separated, in list order.
+std::string to_flags(const std::vector<Rewrite>& rewrites);
 
 /// What-if: rescale every constant-size transfer to `transfer`, keeping
 /// the bytes moved identical (count = max(size * count / transfer, 1)).

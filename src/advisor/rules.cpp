@@ -1,8 +1,11 @@
 #include "advisor/rules.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "io/compression.hpp"
+#include "io/mpiio.hpp"
 #include "util/units.hpp"
 
 namespace wasp::advisor {
@@ -12,6 +15,18 @@ using charz::WorkloadCharacterization;
 
 std::string attr(const std::string& name, const std::string& value) {
   return name + "=" + value;
+}
+
+/// The node-local tier a characterization's tier dir names.
+std::string tier_name(const std::string& dir) {
+  return dir == "/dev/shm" ? "shm" : "tmp";
+}
+
+/// The shortest text that parses back to exactly `v`.
+std::string shortest(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
 }
 
 /// Rule: preload a read-dominated shared dataset into node-local memory
@@ -44,10 +59,7 @@ void rule_preload_input(const WorkloadCharacterization& c,
       attr("dataset_share_per_node", util::format_bytes(per_node_share)) +
       " fits " + attr("free_memory_per_node", util::format_bytes(usable));
   r.expected_speedup = 3.0;
-  r.apply = [dir = tier.dir](RunConfig& cfg) {
-    cfg.preload_input_to_node_local = true;
-    cfg.node_local_tier = dir == "/dev/shm" ? "shm" : "tmp";
-  };
+  r.rewrites = {{"preload", {tier_name(tier.dir)}}};
   out.push_back(std::move(r));
 }
 
@@ -71,10 +83,7 @@ void rule_intermediates_local(const WorkloadCharacterization& c,
       " (small transfers on intermediate files), " +
       attr("node_local_capacity", util::format_bytes(tier.capacity_per_node));
   r.expected_speedup = 4.0;
-  r.apply = [dir = tier.dir](RunConfig& cfg) {
-    cfg.intermediates_to_node_local = true;
-    cfg.node_local_tier = dir == "/dev/shm" ? "shm" : "tmp";
-  };
+  r.rewrites = {{"intermediates", {tier_name(tier.dir)}}};
   out.push_back(std::move(r));
 }
 
@@ -96,7 +105,6 @@ void rule_stripe_size(const WorkloadCharacterization& c,
   r.rationale = attr("io_granularity_data", util::format_bytes(g)) +
                 " on the highest-volume files";
   r.expected_speedup = 1.3;
-  r.apply = [g](RunConfig& cfg) { cfg.stripe_size = g; };
   out.push_back(std::move(r));
 }
 
@@ -117,7 +125,6 @@ void rule_disable_locking(const WorkloadCharacterization& c,
   r.rationale = attr("app_data_dependency", "NA") + ", " +
                 attr("process_data_dependency", "NA");
   r.expected_speedup = 1.2;
-  r.apply = [](RunConfig& cfg) { cfg.shared_file_locking = false; };
   out.push_back(std::move(r));
 }
 
@@ -142,7 +149,7 @@ void rule_stdio_buffer(const WorkloadCharacterization& c,
       attr("granularity", util::format_bytes(c.high_level_io.meta_granularity)) +
       ", " + attr("access_pattern", "Seq");
   r.expected_speedup = 1.5;
-  r.apply = [](RunConfig& cfg) { cfg.stdio_buffer = util::kMiB; };
+  r.rewrites = {{"stdio-buffer", {std::to_string(util::kMiB)}}};
   out.push_back(std::move(r));
 }
 
@@ -164,10 +171,7 @@ void rule_hdf5_chunking(const WorkloadCharacterization& c,
                 attr("io_ops_dist_meta",
                      util::format_percent(1 - c.dataset.data_ops_fraction));
   r.expected_speedup = 1.8;
-  r.apply = [chunk](RunConfig& cfg) {
-    cfg.hdf5_chunking = true;
-    cfg.hdf5_chunk_size = chunk;
-  };
+  r.rewrites = {{"hdf5-chunk", {std::to_string(chunk)}}};
   out.push_back(std::move(r));
 }
 
@@ -185,7 +189,7 @@ void rule_placement(const WorkloadCharacterization& c,
                 attr("num_apps", std::to_string(c.workflow.num_apps)) + ", " +
                 attr("node_local_bb_dir", c.job.node_local_bb_dirs);
   r.expected_speedup = 1.4;
-  r.apply = [](RunConfig& cfg) { cfg.locality_aware_placement = true; };
+  r.rewrites = {{"locality", {}}};
   out.push_back(std::move(r));
 }
 
@@ -213,7 +217,7 @@ void rule_async_checkpoint(const WorkloadCharacterization& c,
                 attr("node_local_bb_dir", c.node_local.front().dir) + ", " +
                 attr("runtime_bound", "compute");
   r.expected_speedup = 1.3;
-  r.apply = [](RunConfig& cfg) { cfg.async_checkpoint_drain = true; };
+  r.rewrites = {{"async-drain", {tier_name(c.node_local.front().dir)}}};
   out.push_back(std::move(r));
 }
 
@@ -243,11 +247,7 @@ void rule_compression(const WorkloadCharacterization& c,
       attr("io_amount", util::format_bytes(c.dataset.io_amount)) + ", " +
       attr("gpus_per_node", std::to_string(c.job.gpus_per_node));
   r.expected_speedup = 1.0 / std::max(ratio, 0.2);
-  r.apply = [ratio, gpu](RunConfig& cfg) {
-    cfg.compress_checkpoints = true;
-    cfg.compress_on_gpu = gpu;
-    cfg.compression_ratio = ratio;
-  };
+  r.rewrites = {{"compress", {shortest(ratio), gpu ? "gpu" : "cpu"}}};
   out.push_back(std::move(r));
 }
 
@@ -272,7 +272,9 @@ void rule_cb_buffer(const WorkloadCharacterization& c,
       attr("granularity_data",
            util::format_bytes(c.high_level_io.data_granularity));
   r.expected_speedup = 1.2;
-  r.apply = [](RunConfig& cfg) { cfg.mpiio.cb_buffer = 32 * util::kMiB; };
+  r.rewrites = {{"mpiio",
+                 {std::to_string(32 * util::kMiB),
+                  std::to_string(io::MpiIoConfig{}.aggregators_per_node)}}};
   out.push_back(std::move(r));
 }
 
@@ -307,9 +309,15 @@ std::vector<Recommendation> RuleEngine::evaluate(
 
 RunConfig RuleEngine::configure(const std::vector<Recommendation>& recs,
                                 RunConfig base) {
+  std::vector<Rewrite> add;
   for (const auto& r : recs) {
-    if (r.apply) r.apply(base);
+    add.insert(add.end(), r.rewrites.begin(), r.rewrites.end());
   }
+  std::stable_sort(add.begin(), add.end(),
+                   [](const Rewrite& a, const Rewrite& b) {
+                     return rewrite_rank(a.name) < rewrite_rank(b.name);
+                   });
+  base.rewrites.insert(base.rewrites.end(), add.begin(), add.end());
   return base;
 }
 
@@ -322,7 +330,9 @@ std::string RuleEngine::report(const std::vector<Recommendation>& recs) {
   for (const auto& r : recs) {
     os << "[" << to_string(r.category) << "] " << r.id << ": set "
        << r.parameter << " = " << r.value << "\n    because " << r.rationale
-       << "\n    expected I/O speedup ~" << r.expected_speedup << "x\n";
+       << "\n    expected I/O speedup ~" << r.expected_speedup << "x\n"
+       << (r.rewrites.empty() ? "    advisory only: no rewrite applies it\n"
+                              : "    rewrite: " + to_flags(r.rewrites) + "\n");
   }
   return os.str();
 }

@@ -3,11 +3,12 @@
 // Each rule inspects the WorkloadCharacterization and, when its conditions
 // hold, emits a Recommendation that (a) names the §IV-D optimization
 // category, (b) cites the attributes that drove the decision, and (c)
-// carries an `apply` function that rewrites a RunConfig. This is the
-// "storage system configures itself from the user-provided features" step.
+// carries the pattern rewrites that apply it, as data (pattern_rewrites.hpp).
+// This is the "storage system configures itself from the user-provided
+// features" step. Two rules, stripe-size and disable-locking, carry no
+// rewrite: the model has no knob for either, so they stay advisory.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,11 +30,12 @@ const char* to_string(Category c) noexcept;
 struct Recommendation {
   std::string id;         ///< stable rule identifier, e.g. "preload-input"
   Category category = Category::kSoftwareAcceleration;
-  std::string parameter;  ///< RunConfig field (human-readable)
+  std::string parameter;  ///< the setting changed (human-readable)
   std::string value;      ///< target value
   std::string rationale;  ///< the attributes that justified the change
   double expected_speedup = 1.0;  ///< coarse a-priori estimate
-  std::function<void(RunConfig&)> apply;
+  /// The rewrites that apply it; empty for an advisory-only rule.
+  std::vector<Rewrite> rewrites;
 };
 
 class RuleEngine {
@@ -42,8 +44,9 @@ class RuleEngine {
   std::vector<Recommendation> evaluate(
       const charz::WorkloadCharacterization& c) const;
 
-  /// Apply every recommendation to a base config (the storage system
-  /// "configuring itself").
+  /// Append every recommendation's rewrites to `base`, in the rewrite
+  /// table's canonical order whatever the order of `recs` (the storage
+  /// system "configuring itself").
   static RunConfig configure(const std::vector<Recommendation>& recs,
                              RunConfig base = RunConfig{});
 

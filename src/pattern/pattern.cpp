@@ -146,11 +146,6 @@ Op pwrite(std::string handle, Expr offset, Expr size, Expr count) {
                   std::move(size), std::move(count), std::move(offset));
 }
 
-Op pread_sync(std::string handle, Expr offset, Expr size, Expr count) {
-  return transfer(OpKind::kPreadSync, Layer::kPosix, std::move(handle),
-                  std::move(size), std::move(count), std::move(offset));
-}
-
 Op pwrite_sync(std::string handle, Expr offset, Expr size, Expr count) {
   return transfer(OpKind::kPwriteSync, Layer::kPosix, std::move(handle),
                   std::move(size), std::move(count), std::move(offset));

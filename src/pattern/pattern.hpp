@@ -8,9 +8,10 @@
 // replayer.hpp) drives the pattern through the existing io:: layers. The
 // pattern is a workload's only executable form.
 //
-// The IR is the what-if surface: a RunConfig is applied to the baseline as
-// pure IR->IR rewrites (advisor/pattern_rewrites.hpp), which read what
-// they need about the workload from `meta`, and patterns round-trip
+// The IR is the what-if surface: a RunConfig's named rewrites are applied
+// to the baseline as pure IR->IR transforms (advisor/pattern_rewrites.hpp),
+// which read what they need about the workload from `meta` — the same
+// rewrites `wasp_pattern whatif` takes as flags — and patterns round-trip
 // through YAML (to_yaml/from_yaml) so tools can dump, mutate, and replay
 // them (tools/wasp_pattern).
 //
@@ -208,7 +209,6 @@ Op write(Layer l, std::string handle, Expr size, Expr count,
          Expr offset = {});
 Op pread(std::string handle, Expr offset, Expr size, Expr count);
 Op pwrite(std::string handle, Expr offset, Expr size, Expr count);
-Op pread_sync(std::string handle, Expr offset, Expr size, Expr count);
 Op pwrite_sync(std::string handle, Expr offset, Expr size, Expr count);
 Op seek(Layer l, std::string handle, Expr offset);
 Op seek_batch(Layer l, std::string handle, Expr count);

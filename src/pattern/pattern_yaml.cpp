@@ -248,15 +248,21 @@ void need(const std::set<std::string>& declared, const std::string& name,
   }
 }
 
-void check_names(const std::vector<Op>& ops,
-                 const std::set<std::string>& comms,
-                 const std::set<std::string>& events) {
+/// Names a pattern declares up front: apps, comms, events.
+struct Declared {
+  std::set<std::string> apps;
+  std::set<std::string> comms;
+  std::set<std::string> events;
+};
+
+void check_names(const std::vector<Op>& ops, const Declared& d) {
   for (const Op& o : ops) {
-    if (o.kind == OpKind::kAllreduce) need(comms, o.comm, "allreduce comm");
+    if (o.kind == OpKind::kAllreduce) need(d.comms, o.comm, "allreduce comm");
     if (o.kind == OpKind::kSignal || o.kind == OpKind::kWaitEvent) {
-      need(events, o.event, "event");
+      need(d.events, o.event, "event");
     }
-    check_names(o.body, comms, events);
+    if (o.kind == OpKind::kSpawn) need(d.apps, o.app, "spawn app");
+    check_names(o.body, d);
   }
 }
 
@@ -485,17 +491,19 @@ JobPattern pattern_from_yaml(const std::string& text) {
       }
     }
   }
-  std::set<std::string> comms;
-  std::set<std::string> events;
-  for (const CommDecl& c : pat.comms) comms.insert(c.name);
-  for (const EventDecl& e : pat.events) events.insert(e.name);
+  // DAG stage apps register lazily, by name, so `apps` need not list them.
+  Declared d;
+  d.apps.insert(pat.apps.begin(), pat.apps.end());
+  for (const CommDecl& c : pat.comms) d.comms.insert(c.name);
+  for (const EventDecl& e : pat.events) d.events.insert(e.name);
   for (const LaneGroup& g : pat.groups) {
-    need(comms, g.comm, "group comm");
-    for (const PhasePattern& ph : g.phases) check_names(ph.ops, comms, events);
+    need(d.comms, g.comm, "group comm");
+    for (const PhasePattern& ph : g.phases) {
+      need(d.apps, ph.app, "phase app");
+      check_names(ph.ops, d);
+    }
   }
-  for (const DagStage& st : pat.dag.stages) {
-    check_names(st.ops, comms, events);
-  }
+  for (const DagStage& st : pat.dag.stages) check_names(st.ops, d);
   return pat;
 }
 

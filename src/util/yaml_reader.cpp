@@ -33,6 +33,16 @@ std::string unquote(const std::string& v) {
   return v;
 }
 
+/// A scalar value as written on `raw`. The writer quotes every value with
+/// a bracket or brace (util/yaml.cpp), so an unquoted one that starts with
+/// '[' or '{' is flow syntax, which this block-only reader rejects.
+std::string scalar_value(const std::string& v, const std::string& raw) {
+  if (!v.empty() && (v.front() == '[' || v.front() == '{')) {
+    throw SimError("unsupported flow-style YAML: " + raw);
+  }
+  return unquote(v);
+}
+
 std::vector<Line> tokenize(const std::string& text) {
   std::vector<Line> lines;
   std::istringstream is(text);
@@ -62,14 +72,14 @@ std::vector<Line> tokenize(const std::string& text) {
     }
     if (colon == std::string::npos) {
       WASP_CHECK_MSG(line.item, "unsupported YAML line: " + raw);
-      line.value = unquote(body);
+      line.value = scalar_value(body, raw);
       line.has_value = true;
     } else {
       line.key = body.substr(0, colon);
       std::string rest =
           colon + 1 < body.size() ? body.substr(colon + 2) : "";
       if (!rest.empty()) {
-        line.value = unquote(rest);
+        line.value = scalar_value(rest, raw);
         line.has_value = true;
       }
     }

@@ -6,11 +6,10 @@
 // The files are unchunked, so every access pays collective metadata reads —
 // the metadata storm that makes 98% of I/O time metadata on GPFS.
 //
-// The optimized configuration (RunConfig::preload_input_to_node_local, what
-// the advisor's "preload-input" rule sets) is the apply_preload rewrite of
-// the baseline pattern: it first copies each node's shard of the dataset
-// into /dev/shm with an MPIFileUtils-style parallel job and then trains
-// against node-local files.
+// The optimized configuration (the "preload shm" rewrite the advisor's
+// "preload-input" rule emits) rewrites the baseline pattern: it first
+// copies each node's shard of the dataset into /dev/shm with an
+// MPIFileUtils-style parallel job and then trains against node-local files.
 #pragma once
 
 #include "workloads/workload.hpp"

@@ -13,10 +13,9 @@
 //
 // Intermediate files (projected/mosaic/shrunk) live on the PFS in the
 // baseline pattern, where mViewer reads its neighbor node's mosaic segment.
-// RunConfig::intermediates_to_node_local applies the advisor's
-// intermediates_to_node_local rewrite: the files move to node-local shm,
-// mViewer reads its own node's segment (the §IV-D.4 locality swap that
-// locality_aware_placement applies alone), and then drains that segment
+// The advisor's "intermediates shm" rewrite moves the files to node-local
+// shm; mViewer reads its own node's segment (the §IV-D.4 locality swap
+// that the "locality" rewrite applies alone), and then drains that segment
 // back to the PFS.
 #pragma once
 
@@ -47,8 +46,6 @@ struct MontageMpiParams {
 
   static MontageMpiParams paper() { return MontageMpiParams{}; }
   static MontageMpiParams test();
-
-  int fits_per_node() const { return (fits_files + nodes - 1) / nodes; }
 };
 
 Workload make_montage_mpi(const MontageMpiParams& params = MontageMpiParams{});

@@ -55,7 +55,9 @@ void set_baseline(
   w.compile = [baseline = std::move(baseline)](
                   runtime::Simulation& sim, const advisor::RunConfig& cfg) {
     pattern::JobPattern pat = baseline(sim);
-    advisor::apply_config(pat, cfg, sim);
+    for (const advisor::Rewrite& rw : cfg.rewrites) {
+      advisor::apply_rewrite(pat, rw, sim);
+    }
     return pat;
   };
   w.launch = [compile = w.compile](runtime::Simulation& sim,

@@ -4,7 +4,8 @@
 // setup task that stages input data, and (c) a launch function that spawns
 // every simulated process honoring a RunConfig. A registry model compiles
 // only its baseline pattern; set_baseline() derives compile (the baseline
-// configured by advisor::apply_config) and launch (its replay) from it.
+// with the RunConfig's rewrites applied in order) and launch (its replay)
+// from it.
 // The runner executes the whole Vani pipeline: run -> trace -> analyze ->
 // characterize -> recommend.
 #pragma once
@@ -38,8 +39,8 @@ struct Workload {
       compile;
 };
 
-/// Set `w.compile` to advisor::apply_config(baseline(sim), cfg, sim) and
-/// `w.launch` to the replay of that pattern.
+/// Set `w.compile` to baseline(sim) with every rewrite of `cfg.rewrites`
+/// applied in list order, and `w.launch` to the replay of that pattern.
 void set_baseline(
     Workload& w,
     std::function<pattern::JobPattern(runtime::Simulation&)> baseline);

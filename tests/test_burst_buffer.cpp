@@ -119,7 +119,7 @@ TEST(AsyncCheckpointDrain, FasterAndStillPersistsToPfs) {
   auto sync_out = workloads::run(spec, workloads::make_hacc(P));
 
   advisor::RunConfig cfg;
-  cfg.async_checkpoint_drain = true;
+  cfg.rewrites = {{"async-drain", {"shm"}}};
   runtime::Simulation sim(spec);
   auto async_out = workloads::run_with(sim, workloads::make_hacc(P), cfg,
                                        analysis::Analyzer::Options{});

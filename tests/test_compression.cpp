@@ -106,9 +106,14 @@ TEST(CompressionRule, FiresForCompressibleBigData) {
   for (const auto& r : recs) fired = fired || r.id == "compress-checkpoints";
   ASSERT_TRUE(fired);
   auto cfg = advisor::RuleEngine::configure(recs);
-  EXPECT_TRUE(cfg.compress_checkpoints);
-  EXPECT_TRUE(cfg.compress_on_gpu);
-  EXPECT_LT(cfg.compression_ratio, 0.6);
+  const advisor::Rewrite* compress = nullptr;
+  for (const auto& rw : cfg.rewrites) {
+    if (rw.name == "compress") compress = &rw;
+  }
+  ASSERT_NE(compress, nullptr);
+  ASSERT_EQ(compress->args.size(), 2u);
+  EXPECT_LT(std::stod(compress->args[0]), 0.6);  // ratio
+  EXPECT_EQ(compress->args[1], "gpu");           // codec home
 }
 
 TEST(CompressionRule, DeclinesForHighEntropyData) {
@@ -135,9 +140,7 @@ TEST(CompressionRule, HaccIsNotCompressed) {
 TEST(CompressionIntegration, HaccCompressedWritesLessToPfs) {
   workloads::HaccParams P = workloads::HaccParams::test();
   advisor::RunConfig cfg;
-  cfg.compress_checkpoints = true;
-  cfg.compress_on_gpu = true;
-  cfg.compression_ratio = 0.5;
+  cfg.rewrites = {{"compress", {"0.5", "gpu"}}};
   runtime::Simulation plain(cluster::lassen(2));
   auto base = workloads::run_with(plain, workloads::make_hacc(P),
                                   advisor::RunConfig{},

@@ -425,14 +425,48 @@ TEST(CliParseDeathTest, CorruptInputExitsOneWithDiagnostic) {
   EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN,
                         {"replay", pattern, "--test-scale", "--nodes", "4"}),
               ::testing::ExitedWithCode(1), "wasp_pattern: ");
-  // An undeclared comm fails at load, naming it, not later in replay.
+  // Flow syntax fails at load, naming it, not later in replay.
   EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN, {"dump", pattern}),
               ::testing::ExitedWithCode(1),
-              "wasp_pattern: .*comm '.oops' is not declared");
+              "wasp_pattern: .*flow-style.*\\[oops");
+  // So does an app no `apps` entry declares, in a dumped pattern.
+  const std::string dumped = temp_path("cli_app.pattern.yaml");
+  {
+    runtime::Simulation compile_sim(test_cluster());
+    std::string text =
+        pattern::to_yaml(entry.make_test().compile(compile_sim, {}));
+    const std::string app = "app: hacc-io";
+    ASSERT_NE(text.find(app), std::string::npos);
+    text.replace(text.find(app), app.size(), "app: [oops");
+    std::ofstream(dumped) << text;
+  }
+  EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN, {"dump", dumped}),
+              ::testing::ExitedWithCode(1), "wasp_pattern: .*\\[oops");
   // A bad flag value is a usage error (it used to escape as an abort).
   EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN,
                         {"whatif", "hacc-fpp", "--interface", "bogus"}),
               ::testing::ExitedWithCode(2), "wasp_pattern: .*unknown layer");
+}
+
+// wasp_pattern whatif takes its rewrite flags from the rewrite table: an
+// unknown name, a missing or malformed argument, or a tier the cluster does
+// not have is a usage error.
+TEST(CliParseDeathTest, WhatifUnknownOrBadRewriteExitsTwo) {
+  for (const auto& [args, diagnostic] :
+       std::vector<std::pair<std::vector<std::string>, std::string>>{
+           {{"--frobnicate"}, "unknown option: --frobnicate"},
+           {{"--mpiio", "16MB"}, "missing value for --mpiio"},
+           {{"--stdio-buffer", "big"}, "rewrite stdio-buffer: bad size"},
+           {{"--compress", "abc", "cpu"}, "rewrite compress: bad ratio"},
+           {{"--compress", "0.5", "tpu"}, "rewrite compress: bad codec"},
+           {{"--preload", "nvme"}, "no node-local tier named nvme"}}) {
+    std::vector<std::string> argv = {"whatif", "cosmoflow", "--test-scale",
+                                     "--nodes", "4", "--dump"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    SCOPED_TRACE(diagnostic);
+    EXPECT_EXIT(exec_tool(WASP_PATTERN_BIN, argv),
+                ::testing::ExitedWithCode(2), "wasp_pattern: " + diagnostic);
+  }
 }
 
 TEST(CliParseDeathTest, ReportBadToleranceOrTopExitsTwo) {

@@ -128,21 +128,23 @@ TEST(PatternYaml, MalformedInputsThrowDiagnostics) {
   } catch (const util::SimError& e) {
     EXPECT_NE(std::string(e.what()).find("comm"), std::string::npos);
   }
-  // Names that refer to no declaration: a group comm (the block-only reader
-  // takes flow syntax like "[oops" as a plain scalar), an allreduce comm,
-  // a signalled or awaited event.
+  // Names that refer to no declaration: a group comm, a phase app, an
+  // allreduce comm, a spawned app, a signalled or awaited event.
   const std::string head =
-      "name: x\ncomms:\n  - name: world\n    procs: 2\n"
+      "name: x\napps:\n  - a\ncomms:\n  - name: world\n    procs: 2\n"
       "events:\n  - name: go\n";
-  const auto group = [&](const std::string& comm, const std::string& op) {
+  const auto group = [&](const std::string& comm, const std::string& op,
+                         const std::string& app = "a") {
     return head + "groups:\n  - comm: " + comm +
-           "\n    phases:\n      - app: a\n        ops:\n          - " + op +
-           "\n";
+           "\n    phases:\n      - app: " + app +
+           "\n        ops:\n          - " + op + "\n";
   };
   EXPECT_NO_THROW(pattern_from_yaml(group("world", "op: signal\n"
                                                    "            event: go")));
   for (const auto& [yaml, name] :
-       {std::pair{group("[oops", "op: barrier"), "'[oops'"},
+       {std::pair{group("oops", "op: barrier"), "'oops'"},
+        std::pair{group("world", "op: barrier", "b"), "'b'"},
+        std::pair{group("world", "op: spawn\n            app: b"), "'b'"},
         std::pair{group("world", "op: allreduce\n            comm: wrld"),
                   "'wrld'"},
         std::pair{group("world", "op: signal\n            event: og"), "'og'"},
@@ -160,6 +162,25 @@ TEST(PatternYaml, MalformedInputsThrowDiagnostics) {
           << e.what();
     }
   }
+  // The block-only reader rejects flow syntax (the writer quotes every
+  // bracket or brace), in any field, naming the offending line.
+  for (const std::string& yaml :
+       {group("[oops", "op: barrier"), group("world", "op: barrier", "[oops"),
+        group("world", "op: barrier", "{oops"),
+        head + "groups:\n  - comm: world\n    rng_seed: [1, 2]\n",
+        std::string("name: x\napps:\n  - [oops\n")}) {
+    SCOPED_TRACE(yaml);
+    try {
+      pattern_from_yaml(yaml);
+      ADD_FAILURE() << "expected SimError";
+    } catch (const util::SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("flow-style"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Quoted, the same text is a plain (if undeclared) name.
+  EXPECT_THROW(pattern_from_yaml(group("world", "op: barrier", "\"[oops\"")),
+               util::SimError);
 }
 
 TEST(PatternEnums, RoundTripAndRejectUnknown) {

@@ -42,62 +42,40 @@ TEST(PatternEquivalence, IorBenchmark) {
   expect_golden("ior-shared-readback", make_ior(P), advisor::RunConfig{});
 }
 
-// The five §IV-D knob rows: each workload with the configuration its case
-// study turns on. advisor::apply_config rewrites the baseline pattern into
-// each of them.
+// The five §IV-D knob rows: each workload with the rewrites its case study
+// applies to the baseline pattern.
 struct KnobRow {
   std::string config;
   std::function<Workload()> make;
-  advisor::RunConfig cfg;
+  std::vector<advisor::Rewrite> rewrites;
 };
 
 std::vector<KnobRow> knob_rows() {
-  std::vector<KnobRow> rows;
-  {
-    advisor::RunConfig cfg;
-    cfg.compress_checkpoints = true;
-    cfg.compress_on_gpu = true;
-    cfg.async_checkpoint_drain = true;
-    rows.push_back({"hacc-fpp-compressed-async-drain",
-                    [] { return make_hacc(HaccParams::test()); }, cfg});
-  }
-  {
-    advisor::RunConfig cfg;
-    cfg.hdf5_chunking = true;
-    cfg.preload_input_to_node_local = true;
-    rows.push_back({"cosmoflow-chunked-preloaded",
-                    [] { return make_cosmoflow(CosmoflowParams::test()); },
-                    cfg});
-  }
-  {
-    advisor::RunConfig cfg;
-    cfg.stdio_buffer = util::kMiB;
-    rows.push_back({"jag-stdio-1mib",
-                    [] { return make_jag(JagParams::test()); }, cfg});
-  }
-  {
-    advisor::RunConfig cfg;
-    cfg.intermediates_to_node_local = true;
-    cfg.stdio_buffer = 64 * util::kKiB;
-    rows.push_back({"montage-mpi-shm-intermediates",
-                    [] { return make_montage_mpi(MontageMpiParams::test()); },
-                    cfg});
-  }
-  {
-    advisor::RunConfig cfg;
-    cfg.locality_aware_placement = true;
-    cfg.stdio_buffer = 64 * util::kKiB;
-    rows.push_back(
-        {"montage-pegasus-locality-aware",
-         [] { return make_montage_pegasus(MontagePegasusParams::test()); },
-         cfg});
-  }
-  return rows;
+  const std::string mib = std::to_string(util::kMiB);
+  const std::string kib64 = std::to_string(64 * util::kKiB);
+  return {
+      {"hacc-fpp-compressed-async-drain",
+       [] { return make_hacc(HaccParams::test()); },
+       {{"compress", {"0.5", "gpu"}}, {"async-drain", {"shm"}}}},
+      {"cosmoflow-chunked-preloaded",
+       [] { return make_cosmoflow(CosmoflowParams::test()); },
+       {{"hdf5-chunk", {mib}}, {"preload", {"shm"}}}},
+      {"jag-stdio-1mib", [] { return make_jag(JagParams::test()); },
+       {{"stdio-buffer", {mib}}}},
+      {"montage-mpi-shm-intermediates",
+       [] { return make_montage_mpi(MontageMpiParams::test()); },
+       {{"stdio-buffer", {kib64}}, {"intermediates", {"shm"}}}},
+      {"montage-pegasus-locality-aware",
+       [] { return make_montage_pegasus(MontagePegasusParams::test()); },
+       {{"stdio-buffer", {kib64}}, {"locality", {}}}},
+  };
 }
 
 void expect_knob_row(const std::string& config) {
   for (const KnobRow& row : knob_rows()) {
-    if (row.config == config) return expect_golden(config, row.make(), row.cfg);
+    if (row.config == config) {
+      return expect_golden(config, row.make(), {row.rewrites, {}});
+    }
   }
   FAIL() << "no knob row " << config;
 }
@@ -123,7 +101,7 @@ TEST(PatternEquivalence, MontagePegasusLocalityAware) {
 }
 
 // The knob rewrites read only the pattern, never the compiler: a baseline
-// dumped to YAML and loaded back, then configured, replays to each knob row.
+// dumped to YAML and loaded back, then rewritten, replays to each knob row.
 TEST(PatternEquivalence, KnobRowsFromDumpedBaseline) {
   for (const KnobRow& row : knob_rows()) {
     SCOPED_TRACE(row.config);
@@ -131,7 +109,9 @@ TEST(PatternEquivalence, KnobRowsFromDumpedBaseline) {
     runtime::Simulation compile_sim(golden_cluster());
     pattern::JobPattern pat = pattern::pattern_from_yaml(
         pattern::to_yaml(w.compile(compile_sim, advisor::RunConfig{})));
-    advisor::apply_config(pat, row.cfg, compile_sim);
+    for (const advisor::Rewrite& rw : row.rewrites) {
+      advisor::apply_rewrite(pat, rw, compile_sim);
+    }
     Workload v;
     v.decl = w.decl;
     v.setup = w.setup;
@@ -201,7 +181,8 @@ TEST(PatternEquivalence, CosmoflowPreloadRewriteReproducesFig7Direction) {
   runtime::Simulation compile_sim(golden_cluster());
   auto baseline_pat = w.compile(compile_sim, advisor::RunConfig{});
   auto rewritten = baseline_pat;
-  ASSERT_TRUE(advisor::apply_preload(rewritten, "/dev/shm"));
+  advisor::apply_rewrite(rewritten, {"preload", {"shm"}}, compile_sim);
+  ASSERT_NE(pattern::to_yaml(rewritten), pattern::to_yaml(baseline_pat));
 
   auto replay_pattern = [&](const pattern::JobPattern& pat) {
     Workload v;

@@ -86,7 +86,7 @@ TEST(Cosmoflow, FingerprintMatchesPaper) {
 
 TEST(Cosmoflow, PreloadConfigReadsFromNodeLocal) {
   advisor::RunConfig cfg;
-  cfg.preload_input_to_node_local = true;
+  cfg.rewrites = {{"preload", {"shm"}}};
   auto spec = test_cluster(2);
   runtime::Simulation sim(spec);
   auto out = run_with(sim, make_cosmoflow(CosmoflowParams::test()), cfg,
@@ -140,7 +140,7 @@ TEST(MontageMpi, FingerprintMatchesPaper) {
 
 TEST(MontageMpi, ShmRedirectMovesIntermediatesOffPfs) {
   advisor::RunConfig cfg;
-  cfg.intermediates_to_node_local = true;
+  cfg.rewrites = {{"intermediates", {"shm"}}};
   auto spec = test_cluster(2);
   runtime::Simulation sim(spec);
   auto out = run_with(sim, make_montage_mpi(MontageMpiParams::test()), cfg,

@@ -194,8 +194,14 @@ TEST(YamlLoader, AdvisorDecisionsSurviveTheFile) {
     EXPECT_EQ(direct[i].id, via_file[i].id);
   }
   const auto cfg = advisor::RuleEngine::configure(via_file);
-  EXPECT_TRUE(cfg.preload_input_to_node_local);
-  EXPECT_TRUE(cfg.hdf5_chunking);
+  const auto has = [&](const char* name) {
+    for (const auto& rw : cfg.rewrites) {
+      if (rw.name == name) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has("preload"));
+  EXPECT_TRUE(has("hdf5-chunk"));
 }
 
 TEST(YamlLoader, RejectsNonCharacterizationDocuments) {

@@ -1,6 +1,8 @@
 // wasp_advise — the storage system's side of the paper's vision: load a
 // user-provided characterization YAML (from wasp_run or any other source)
-// and print the configuration the storage system would set for itself.
+// and print the configuration the storage system would set for itself:
+// the recommendations, then their rewrites as ready-to-paste
+// `wasp_pattern whatif` flags.
 //
 //   wasp_advise <features.yaml>
 #include <iostream>
@@ -28,30 +30,11 @@ int run_main(int argc, char** argv) {
   std::cout << advisor::RuleEngine::report(recs);
 
   const auto cfg = advisor::RuleEngine::configure(recs);
-  std::cout << "\nresulting storage configuration:\n"
-            << "  stripe_size             = "
-            << util::format_bytes(cfg.stripe_size) << "\n"
-            << "  shared_file_locking     = "
-            << (cfg.shared_file_locking ? "true" : "false") << "\n"
-            << "  stdio_buffer            = "
-            << util::format_bytes(cfg.stdio_buffer) << "\n"
-            << "  mpiio.cb_buffer         = "
-            << util::format_bytes(cfg.mpiio.cb_buffer) << "\n"
-            << "  hdf5_chunking           = "
-            << (cfg.hdf5_chunking ? util::format_bytes(cfg.hdf5_chunk_size)
-                                  : "off")
-            << "\n"
-            << "  preload_input           = "
-            << (cfg.preload_input_to_node_local ? cfg.node_local_tier : "off")
-            << "\n"
-            << "  intermediates           = "
-            << (cfg.intermediates_to_node_local ? cfg.node_local_tier
-                                                : "PFS")
-            << "\n"
-            << "  locality_placement      = "
-            << (cfg.locality_aware_placement ? "true" : "false") << "\n"
-            << "  async_checkpoint_drain  = "
-            << (cfg.async_checkpoint_drain ? "true" : "false") << "\n";
+  std::cout << "\nresulting rewrites (wasp_pattern whatif <workload> flags):\n"
+            << "  "
+            << (cfg.rewrites.empty() ? "(none)"
+                                     : advisor::to_flags(cfg.rewrites))
+            << "\n";
   return 0;
 }
 

@@ -8,11 +8,13 @@
 // prints the pattern YAML. `replay` drives the pattern through the generic
 // replayer and prints the characterization, exactly as wasp_run does for
 // the registry workload. `whatif` applies §IV-D rewrites as pure IR -> IR
-// transforms, then replays baseline and variant and reports the delta.
+// transforms, then replays baseline and variant and reports the delta. Its
+// rewrite flags are the advisor's rewrite table (advisor/pattern_rewrites.hpp),
+// so wasp_advise's printed flags replay any advisor decision.
 //
 // Exit codes: 0 ok; 1 with one "wasp_pattern: <diagnostic>" line on a
 // malformed pattern file or a failed run (tools/cli_contract.hpp); 2 on
-// usage errors.
+// usage errors, an unknown rewrite or a bad rewrite argument.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -43,14 +45,19 @@ void usage() {
          "                       replay (also serialized by dump)\n"
          "    --out FILE         write the pattern YAML here (dump/whatif)\n"
          "    --yaml FILE        write the characterization YAML here\n"
-         "  whatif rewrites (applied in order given):\n"
-         "    --transfer SIZE    rescale constant transfers (e.g. 16MB)\n"
-         "    --interface LAYER  posix|stdio for plain open/IO chains\n"
-         "    --stdio-buffer SIZE  setvbuf size for stdio lanes\n"
-         "    --hdf5-chunk SIZE  HDF5 dataset chunk size (0 = off)\n"
-         "    --redirect FROM TO rewrite path prefixes (shm staging)\n"
-         "    --preload MOUNT    stage inputs into the node-local tier\n"
-         "                       mounted at MOUNT (e.g. /dev/shm)\n"
+         "  whatif rewrites (applied in order given; SIZE is bytes or\n"
+         "  e.g. 16MB, TIER a node-local tier name such as shm):\n"
+         "    --stdio-buffer SIZE        setvbuf size for stdio lanes\n"
+         "    --hdf5-chunk SIZE          HDF5 dataset chunk size (0 = off)\n"
+         "    --mpiio CB_BUFFER AGGS     MPI-IO cb_buffer, aggregators/node\n"
+         "    --locality                 locality-aware DAG placement\n"
+         "    --compress RATIO cpu|gpu   compress checkpoints\n"
+         "    --async-drain TIER         stage checkpoints, drain to the PFS\n"
+         "    --intermediates TIER       workflow intermediates on TIER\n"
+         "    --preload TIER             stage inputs into TIER\n"
+         "    --transfer SIZE            rescale constant transfers\n"
+         "    --interface posix|stdio    layer of plain open/IO chains\n"
+         "    --redirect FROM TO         rewrite path prefixes\n"
          "    --dump             print the rewritten pattern, don't replay\n"
          "  workloads: ";
   for (const auto& e : workloads::paper_workloads()) {
@@ -62,13 +69,6 @@ void usage() {
 [[noreturn]] void die(const std::string& msg) {
   std::cerr << "wasp_pattern: " << msg << "\n";
   std::exit(2);
-}
-
-util::Bytes bytes_arg(const std::string& text) {
-  // Accept both plain byte counts and the tables' "16MB" format.
-  if (auto b = util::parse_bytes(text)) return *b;
-  if (auto n = util::parse_uint(text)) return static_cast<util::Bytes>(*n);
-  die("bad size: " + text);
 }
 
 struct PatternSource {
@@ -168,7 +168,7 @@ int run_main(int argc, char** argv) {
   std::string yaml_file;
   sim::FaultPlan faults;
   // Rewrites are queued and applied in command-line order.
-  std::vector<std::function<void(pattern::JobPattern&)>> rewrites;
+  std::vector<advisor::Rewrite> rewrites;
 
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -192,47 +192,18 @@ int run_main(int argc, char** argv) {
       yaml_file = next();
     } else if (arg == "--dump") {
       dump_only = true;
-    } else if (arg == "--transfer") {
-      const auto size = bytes_arg(next());
-      rewrites.push_back([size](pattern::JobPattern& p) {
-        std::cerr << "rewrite: transfer -> " << util::format_bytes(size)
-                  << " (" << advisor::set_transfer_size(p, size)
-                  << " ops)\n";
-      });
-    } else if (arg == "--interface") {
-      pattern::Layer layer{};
+    } else if (arg.rfind("--", 0) == 0 &&
+               advisor::rewrite_arity(arg.substr(2)) >= 0) {
+      advisor::Rewrite rw{arg.substr(2), {}};
+      for (int n = advisor::rewrite_arity(rw.name); n > 0; --n) {
+        rw.args.push_back(next());
+      }
       try {
-        layer = pattern::layer_from(next());
+        advisor::check_rewrite(rw);
       } catch (const util::SimError& e) {
         die(e.what());
       }
-      rewrites.push_back([layer](pattern::JobPattern& p) {
-        std::cerr << "rewrite: interface -> " << pattern::to_string(layer)
-                  << " (" << advisor::set_interface(p, layer) << " ops)\n";
-      });
-    } else if (arg == "--stdio-buffer") {
-      const auto size = bytes_arg(next());
-      rewrites.push_back([size](pattern::JobPattern& p) {
-        advisor::set_stdio_buffer(p, size);
-      });
-    } else if (arg == "--hdf5-chunk") {
-      const auto size = bytes_arg(next());
-      rewrites.push_back([size](pattern::JobPattern& p) {
-        advisor::set_hdf5_chunking(p, size);
-      });
-    } else if (arg == "--redirect") {
-      const std::string from = next();
-      const std::string to = next();
-      rewrites.push_back([from, to](pattern::JobPattern& p) {
-        advisor::redirect_prefix(p, from, to);
-      });
-    } else if (arg == "--preload") {
-      const std::string mount = next();
-      rewrites.push_back([mount](pattern::JobPattern& p) {
-        if (!advisor::apply_preload(p, mount)) {
-          die("pattern carries no preload metadata");
-        }
-      });
+      rewrites.push_back(std::move(rw));
     } else {
       die("unknown option: " + arg);
     }
@@ -274,7 +245,19 @@ int run_main(int argc, char** argv) {
 
   // whatif: keep the baseline, rewrite a copy, compare.
   pattern::JobPattern variant = pat;
-  for (const auto& rw : rewrites) rw(variant);
+  for (const auto& rw : rewrites) {
+    // A rewrite whose meta the pattern lacks is a no-op; say so.
+    const std::string before = pattern::to_yaml(variant);
+    try {
+      advisor::apply_rewrite(variant, rw, compile_sim);
+    } catch (const util::SimError& e) {
+      die(e.what());
+    }
+    std::cerr << "rewrite: " << advisor::to_flags({rw})
+              << (pattern::to_yaml(variant) == before
+                      ? " (no change to this pattern)\n"
+                      : "\n");
+  }
   if (dump_only) {
     emit(pattern::to_yaml(variant), out_file, "pattern");
     return 0;
