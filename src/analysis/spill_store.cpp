@@ -17,12 +17,11 @@
 namespace wasp::analysis {
 namespace {
 
-// Chunk file, both versions: 8-byte magic, u64 version, u64 rows, u64 flags
-// (bit0 = aux columns present), then the columns in declaration order.
-// WSPCHK01 stores raw column arrays; WSPCHK02 stores each column as
+// Chunk file: 8-byte magic, u64 version, u64 rows, u64 flags (bit0 = aux
+// columns present), then the columns in declaration order, each stored as
 // [u8 encoding tag][u64 payload bytes][payload] (see chunk_codec.hpp).
-constexpr char kChunkMagicV1[8] = {'W', 'S', 'P', 'C', 'H', 'K', '0', '1'};
-constexpr char kChunkMagicV2[8] = {'W', 'S', 'P', 'C', 'H', 'K', '0', '2'};
+constexpr char kChunkMagic[8] = {'W', 'S', 'P', 'C', 'H', 'K', '0', '2'};
+constexpr std::uint64_t kChunkVersion = 2;
 constexpr std::uint64_t kFlagAux = 1;
 constexpr std::size_t kColHeaderBytes = 1 + sizeof(std::uint64_t);
 
@@ -167,12 +166,12 @@ void read_col_raw(ChunkReader& in, std::vector<T>& col, std::size_t rows) {
   if (bytes != 0) std::memcpy(col.data(), in.take(bytes), bytes);
 }
 
-/// Read one WSPCHK02 column: tag, payload length, payload; decode straight
+/// Read one column: tag, payload length, payload; decode straight
 /// into the typed column. Every length, the decoded row count and every
 /// value's range are validated, so truncated or corrupt files throw instead
 /// of mis-decoding.
 template <typename T>
-void read_col_v2(ChunkReader& in, std::vector<T>& col, std::size_t rows) {
+void read_col(ChunkReader& in, std::vector<T>& col, std::size_t rows) {
   const std::uint8_t tag = *in.take(1);
   const std::uint64_t len = in.u64();
   switch (static_cast<codec::Encoding>(tag)) {
@@ -429,8 +428,8 @@ void SpillColumnStore::write_chunk(const Columns& cols, std::size_t index) {
   const std::size_t rows = cols.rows();
   std::vector<std::uint8_t>& buf = chunk_buf_;
   buf.clear();
-  put_bytes(buf, opts_.compress ? kChunkMagicV2 : kChunkMagicV1, 8);
-  put_u64(buf, opts_.compress ? 2 : 1);
+  put_bytes(buf, kChunkMagic, 8);
+  put_u64(buf, kChunkVersion);
   put_u64(buf, rows);
   put_u64(buf, has_aux_ ? kFlagAux : 0);
   std::uint64_t raw[kNumCols] = {};
@@ -438,11 +437,6 @@ void SpillColumnStore::write_chunk(const Columns& cols, std::size_t index) {
   Columns::for_each(cols, has_aux_, [&](const auto& col, Col id) {
     using T = typename std::decay_t<decltype(col)>::value_type;
     raw[id] = rows * sizeof(T);
-    if (!opts_.compress) {
-      put_bytes(buf, col.data(), raw[id]);
-      stored[id] = raw[id];
-      return;
-    }
     const codec::Choice c = codec::choose_encoding(col.data(), rows);
     const auto tag = static_cast<std::uint8_t>(c.enc);
     put_bytes(buf, &tag, 1);
@@ -478,11 +472,9 @@ std::shared_ptr<const SpillColumnStore::ChunkData> SpillColumnStore::load_chunk(
   const std::string path = chunk_file_path(index);
   const std::vector<std::uint8_t> file = read_chunk_file(path);
   ChunkReader in{file.data(), file.data() + file.size(), path};
-  const std::uint8_t* magic = in.take(8);
-  const bool v2 = std::memcmp(magic, kChunkMagicV2, 8) == 0;
-  WASP_CHECK_MSG(v2 || std::memcmp(magic, kChunkMagicV1, 8) == 0,
+  WASP_CHECK_MSG(std::memcmp(in.take(8), kChunkMagic, 8) == 0,
                  "bad spill chunk magic: " + path);
-  WASP_CHECK_MSG(in.u64() == (v2 ? 2u : 1u),
+  WASP_CHECK_MSG(in.u64() == kChunkVersion,
                  "unsupported spill chunk version: " + path);
   const std::uint64_t rows64 = in.u64();
   const std::uint64_t flags = in.u64();
@@ -500,13 +492,8 @@ std::shared_ptr<const SpillColumnStore::ChunkData> SpillColumnStore::load_chunk(
   WASP_CHECK_MSG(aux == has_aux_, "spill chunk aux flag mismatch: " + path);
 
   auto data = std::make_shared<ChunkData>();
-  Columns::for_each(data->cols, aux, [&](auto& col, Col) {
-    if (v2) {
-      read_col_v2(in, col, rows);
-    } else {
-      read_col_raw(in, col, rows);
-    }
-  });
+  Columns::for_each(data->cols, aux,
+                    [&](auto& col, Col) { read_col(in, col, rows); });
   WASP_CHECK_MSG(in.p == in.end, "trailing bytes in spill chunk: " + path);
 
   loads_.add(1);

@@ -4,13 +4,11 @@
 // spill directory. Reads load chunk files on demand into a bounded LRU
 // cache of resident chunks.
 //
-// Chunk files are WSPCHK02 by default: each column is compressed
-// independently (varint zigzag delta / RLE / raw, whichever is smallest —
-// see chunk_codec.hpp). The codec sizes both payloads in one pass, encodes
-// the winner once into a reused buffer, and the whole chunk file goes to
-// disk in one write. Options::compress = false writes the legacy raw
-// WSPCHK01 layout; load_chunk reads both formats, so mixed directories
-// from older runs stay readable.
+// Chunk files are WSPCHK02: each column is compressed independently
+// (varint zigzag delta / RLE / raw, whichever is smallest — see
+// chunk_codec.hpp). The codec sizes both payloads in one pass, encodes the
+// winner once into a reused buffer, and the whole chunk file goes to disk
+// in one write. A store only reads back the chunk files it wrote itself.
 //
 // Background thread: one per store, started when the first chunk is
 // sealed. During ingest it encodes and writes sealed chunks while the
@@ -75,9 +73,6 @@ class SpillColumnStore final : public TraceStore, public trace::RecordSink {
     std::string dir;
     std::size_t chunk_rows = 65536;
     std::size_t max_resident_chunks = 8;
-    /// Write per-column-compressed WSPCHK02 chunk files; false writes the
-    /// legacy raw WSPCHK01 layout. Reads accept both regardless.
-    bool compress = true;
     /// Double-buffered background read-ahead on sequential chunk scans.
     bool prefetch = true;
   };

@@ -30,16 +30,8 @@ std::string json_num(double v) {
   return buf;
 }
 
-}  // namespace
-
-bool deterministic_metric(std::string_view name) noexcept {
-  if (name == "engine.events" || name == "engine.vtime_ns" ||
-      name == "analyze.rows") {
-    return true;
-  }
-  return name.rfind("faults.", 0) == 0 || name.rfind("replay.", 0) == 0;
-}
-
+/// `git rev-parse HEAD` of the current working directory, or "unknown"
+/// when git or the repository is unavailable. Never throws.
 std::string current_git_sha() {
   FILE* p = ::popen("git rev-parse HEAD 2>/dev/null", "r");
   if (p == nullptr) return "unknown";
@@ -58,6 +50,7 @@ std::string current_git_sha() {
   return sha;
 }
 
+/// Current UTC wall time as ISO-8601 ("2026-08-09T12:34:56Z").
 std::string iso8601_utc_now() {
   const std::time_t now = std::time(nullptr);
   std::tm tm{};
@@ -67,15 +60,17 @@ std::string iso8601_utc_now() {
   return buf;
 }
 
-void write_metric_sections(std::ostream& os, const Snapshot& snapshot,
-                           const char* indent) {
+/// Emit `"counters": {...}, "gauges": {...}, "histograms": {...}` from a
+/// snapshot (no surrounding braces), each section's entries sorted by
+/// name, one section per line.
+void write_metric_sections(std::ostream& os, const Snapshot& snapshot) {
   using Kind = Snapshot::Kind;
   for (const Kind kind : {Kind::kCounter, Kind::kGauge, Kind::kHistogram}) {
     const char* section = kind == Kind::kCounter ? "counters"
                           : kind == Kind::kGauge ? "gauges"
                                                  : "histograms";
     if (kind != Kind::kCounter) os << ",\n";
-    os << indent << "\"" << section << "\": {";
+    os << "  \"" << section << "\": {";
     bool first = true;
     for (const Snapshot::Entry& e : snapshot.entries) {
       if (e.kind != kind) continue;
@@ -96,6 +91,16 @@ void write_metric_sections(std::ostream& os, const Snapshot& snapshot,
     }
     os << "}";
   }
+}
+
+}  // namespace
+
+bool deterministic_metric(std::string_view name) noexcept {
+  if (name == "engine.events" || name == "engine.vtime_ns" ||
+      name == "analyze.rows") {
+    return true;
+  }
+  return name.rfind("faults.", 0) == 0 || name.rfind("replay.", 0) == 0;
 }
 
 RunManifest RunManifest::capture(std::string tool, int jobs,
@@ -135,7 +140,7 @@ void RunManifest::write_json(std::ostream& os) const {
        << ", \"self_ns\": " << s.self_ns << "}";
   }
   os << (spans.empty() ? "]" : "\n  ]") << ",\n";
-  write_metric_sections(os, metrics, "  ");
+  write_metric_sections(os, metrics);
   os << "\n}\n";
 }
 

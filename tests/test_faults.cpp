@@ -402,6 +402,9 @@ TEST(CliParseDeathTest, CorruptInputExitsOneWithDiagnostic) {
                         {log, "--backend", "spill", "--spill-dir",
                          temp_path("cli_truncated.spill")}),
               ::testing::ExitedWithCode(1), "wasp_analyze: ");
+  // An unknown flag (here the retired raw-chunk switch) is a usage error.
+  EXPECT_EXIT(exec_tool(WASP_ANALYZE_BIN, {log, "--no-compress"}),
+              ::testing::ExitedWithCode(2), "unknown option.*--no-compress");
 
   const std::string yaml = temp_path("cli_corrupt.yaml");
   std::ofstream(yaml) << "workload: [unterminated\n  apps: {\n";
@@ -478,9 +481,9 @@ TEST(CliParseDeathTest, ReportBadToleranceOrTopExitsTwo) {
     EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"diff", a, b, "--tolerance", bad}),
                 ::testing::ExitedWithCode(2), "bad value for --tolerance");
   }
-  EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"check", a, "--baseline", b,
-                                          "--tolerance", "abc"}),
-              ::testing::ExitedWithCode(2), "bad value for --tolerance");
+  // The retired bench-results gate is an unknown subcommand, not a crash.
+  EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"check", a, "--baseline", b}),
+              ::testing::ExitedWithCode(2), "usage");
   EXPECT_EXIT(exec_tool(WASP_REPORT_BIN, {"summarize", a, "--top", "abc"}),
               ::testing::ExitedWithCode(2), "bad value for --top");
 }

@@ -315,5 +315,70 @@ TEST(ScenarioRunner, RunManyMatchesIndividualRuns) {
   }
 }
 
+/// One sweep cell: a default-config run of `make` on `spec`.
+workloads::Scenario sweep_cell(std::string name, cluster::ClusterSpec spec,
+                               std::function<workloads::Workload()> make) {
+  return {std::move(name), std::move(spec), std::move(make),
+          advisor::RunConfig{}, analysis::Analyzer::Options{}, {}};
+}
+
+// Three test-scale sweep grids through run_many: CosmoFlow and Montage MPI
+// over 2/4/8/16 nodes, and Montage MPI over PFS stripe counts 1/2/4/8. Every
+// cell is identical at jobs 1 and jobs 4, and its engine event count is
+// pinned.
+TEST(ScenarioRunner, SweepGridsIdenticalAcrossJobCountsWithPinnedEvents) {
+  struct Grid {
+    const char* name;
+    std::vector<workloads::Scenario> cells;
+    std::vector<std::uint64_t> events;  ///< per cell, in cell order
+    std::uint64_t total;
+  };
+  std::vector<Grid> grids = {
+      {"cosmoflow nodes 2/4/8/16", {}, {798, 806, 812, 855}, 3271},
+      {"montage-mpi nodes 2/4/8/16", {}, {343, 573, 1049, 1937}, 3902},
+      {"montage-mpi stripe_count 1/2/4/8", {}, {313, 323, 343, 351}, 1330},
+  };
+  for (int nodes : {2, 4, 8, 16}) {
+    auto cf = workloads::CosmoflowParams::test();
+    cf.nodes = nodes;
+    grids[0].cells.push_back(
+        sweep_cell("cosmoflow-" + std::to_string(nodes),
+                   cluster::lassen(nodes),
+                   [cf] { return workloads::make_cosmoflow(cf); }));
+    auto mm = workloads::MontageMpiParams::test();
+    mm.nodes = nodes;
+    grids[1].cells.push_back(
+        sweep_cell("montage-" + std::to_string(nodes), cluster::lassen(nodes),
+                   [mm] { return workloads::make_montage_mpi(mm); }));
+  }
+  for (int count : {1, 2, 4, 8}) {
+    auto spec = cluster::lassen(4);
+    spec.pfs.stripe_count = count;
+    grids[2].cells.push_back(sweep_cell(
+        "stripe-" + std::to_string(count), spec, [] {
+          return workloads::make_montage_mpi(
+              workloads::MontageMpiParams::test());
+        }));
+  }
+
+  for (const Grid& g : grids) {
+    SCOPED_TRACE(g.name);
+    const auto j1 = workloads::run_many(g.cells, 1);
+    const auto j4 = workloads::run_many(g.cells, 4);
+    ASSERT_EQ(j1.size(), g.cells.size());
+    ASSERT_EQ(j4.size(), g.cells.size());
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < g.cells.size(); ++i) {
+      SCOPED_TRACE(g.cells[i].name);
+      EXPECT_EQ(j1[i].engine_events, g.events[i]);
+      EXPECT_EQ(j4[i].engine_events, j1[i].engine_events);
+      EXPECT_EQ(j4[i].job_seconds, j1[i].job_seconds);
+      expect_profiles_identical(j1[i].profile, j4[i].profile);
+      total += j1[i].engine_events;
+    }
+    EXPECT_EQ(total, g.total);
+  }
+}
+
 }  // namespace
 }  // namespace wasp

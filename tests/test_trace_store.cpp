@@ -1,6 +1,6 @@
 // TraceStore backend contract: the spill-to-disk columnar store must serve
 // the exact bytes the in-memory store serves — profiles byte-identical at
-// every job count, with or without chunk compression — while keeping the
+// every job count — while keeping the
 // resident set bounded by chunk_rows * (max_resident_chunks + cursors + 1):
 // K cached/in-flight chunks, one buffer per concurrent cursor (a pin or an
 // in-flight demand load), plus the one double-buffered prefetch load.
@@ -75,7 +75,7 @@ TEST(SpillStore, RoundTripsRowsThroughChunkFiles) {
   const auto io = store.io_stats();
   EXPECT_GT(io.bytes_written, 0u);
   EXPECT_GT(io.bytes_read, 0u);
-  // Compressed chunks must beat the raw WSPCHK01 footprint on this trace.
+  // Compressed chunks must beat the raw column footprint on this trace.
   EXPECT_LT(io.bytes_written, io.raw_bytes);
 }
 
@@ -125,24 +125,6 @@ TEST(SpillStore, ProfileMatchesMemoryBackendAcrossJobCounts) {
     // W concurrent cursors can each keep one evicted chunk pinned, and the
     // prefetcher may hold one more in flight.
     EXPECT_LE(store.peak_resident_chunks(), kMaxResident + 8 + 1);
-  }
-  // Compression must not change the profile either, at any job count.
-  {
-    analysis::SpillColumnStore store({.dir = spill_dir("nocomp.spill"),
-                                      .chunk_rows = 17,
-                                      .max_resident_chunks = kMaxResident,
-                                      .compress = false});
-    store.append(records);
-    store.finalize();
-    const auto raw1 = analysis::Analyzer(o1).analyze(
-        analysis::tracer_input(sim.tracer(), &store));
-    expect_profiles_identical(mem1, raw1);
-    const auto raw8 = analysis::Analyzer(o8).analyze(
-        analysis::tracer_input(sim.tracer(), &store));
-    expect_profiles_identical(mem1, raw8);
-    // Raw WSPCHK01 stores exactly the widened column bytes.
-    const auto io = store.io_stats();
-    EXPECT_GE(io.bytes_written, io.raw_bytes);
   }
 }
 
@@ -309,7 +291,6 @@ TEST(SpillStore, CorruptChunkFailsLoudlyWithoutResidencyUnderflow) {
   analysis::SpillColumnStore store({.dir = spill_dir("corrupt.spill"),
                                     .chunk_rows = 100,
                                     .max_resident_chunks = 2,
-                                    .compress = true,
                                     .prefetch = false});
   store.append(records);
   store.finalize();
@@ -342,7 +323,6 @@ TEST(SpillStore, ShortNonFinalChunkRejected) {
   analysis::SpillColumnStore store({.dir = spill_dir("shortchunk.spill"),
                                     .chunk_rows = 100,
                                     .max_resident_chunks = 4,
-                                    .compress = true,
                                     .prefetch = false});
   store.append(records);
   store.finalize();
@@ -405,34 +385,25 @@ TEST(SpillStore, TwoStoresShareOneSpillDirWithoutCollision) {
   }
 }
 
-// Property: the same trace written as compressed WSPCHK02 and raw WSPCHK01
-// decodes to identical columns, and the compressed files are smaller.
+// Property: compressed chunks decode to the input records, and store fewer
+// bytes than the raw columns they hold.
 TEST(SpillStore, CompressedAndRawChunksDecodeIdentically) {
   const auto records = synthetic_records(5003);
-  analysis::SpillColumnStore v2({.dir = spill_dir("prop_v2.spill"),
-                                 .chunk_rows = 128,
-                                 .max_resident_chunks = 4,
-                                 .compress = true});
-  analysis::SpillColumnStore v1({.dir = spill_dir("prop_v1.spill"),
-                                 .chunk_rows = 128,
-                                 .max_resident_chunks = 4,
-                                 .compress = false});
-  v2.append(records);
-  v1.append(records);
-  v2.finalize();
-  v1.finalize();
+  analysis::SpillColumnStore store({.dir = spill_dir("prop.spill"),
+                                    .chunk_rows = 128,
+                                    .max_resident_chunks = 4});
+  store.append(records);
+  store.finalize();
 
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const trace::Record r2 = v2.row(i);
-    ASSERT_TRUE(r2 == v1.row(i)) << "row " << i;
-    ASSERT_TRUE(r2 == records[i]) << "row " << i;
+    ASSERT_TRUE(store.row(i) == records[i]) << "row " << i;
   }
-  const auto io2 = v2.io_stats();
-  const auto io1 = v1.io_stats();
-  EXPECT_EQ(io2.raw_bytes, io1.raw_bytes);
-  EXPECT_LT(io2.bytes_written, io1.bytes_written);
+  const auto io = store.io_stats();
+  // Raw size: the twelve non-aux columns at their fixed widths, 58 B a row.
+  EXPECT_EQ(io.raw_bytes, records.size() * 58);
+  EXPECT_LT(io.bytes_written, io.raw_bytes);
   // Monotone time columns should delta-compress dramatically.
-  for (const auto& c : io2.columns) {
+  for (const auto& c : io.columns) {
     if (std::string(c.name) == "tstart") {
       EXPECT_LT(c.stored_bytes * 2, c.raw_bytes);
     }
@@ -553,7 +524,8 @@ std::string hand_built_chunk(std::size_t rows, std::uint64_t app) {
 
 // A decoded value that does not fit its column type is corruption: 70000 in
 // the uint16 app column must be rejected with the chunk's path, not loaded
-// truncated to 4464. So are bytes after the last column.
+// truncated to 4464. So are bytes after the last column and a chunk in the
+// raw WSPCHK01 layout.
 TEST(SpillStore, HandBuiltCorruptChunksRejected) {
   const auto records = synthetic_records(300);
   analysis::SpillColumnStore store({.dir = spill_dir("range.spill"),
@@ -586,6 +558,23 @@ TEST(SpillStore, HandBuiltCorruptChunksRejected) {
 
   overwrite(hand_built_chunk(100, 7) + '\0');
   EXPECT_THROW(store.row(150), util::SimError);
+
+  // The raw WSPCHK01 layout (version 1, bare column arrays) is not a chunk
+  // format the store writes or reads.
+  std::string v1 = "WSPCHK01";
+  put_u64(v1, 1);
+  put_u64(v1, 100);
+  put_u64(v1, 0);  // no aux columns
+  v1.append(100 * 58, '\0');
+  overwrite(v1);
+  try {
+    (void)store.row(150);
+    FAIL() << "loaded a WSPCHK01 chunk";
+  } catch (const util::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad spill chunk magic"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // Chunks are written by the store's background thread while appends go on.

@@ -5,15 +5,15 @@
 //   wasp_analyze <trace.wtrc> [--phases] [--files N] [--hist] [--jobs N]
 //                [--backend memory|spill] [--spill-dir DIR]
 //                [--chunk-rows N] [--max-resident-chunks N]
-//                [--no-compress] [--stats] [--telemetry out.json]
+//                [--stats] [--telemetry out.json]
 //                [--trace-out out.trace.json] [--report out.manifest.json]
 //
-// --backend spill streams the log through a SpillColumnStore (columnar
-// chunk files + bounded LRU + sequential prefetch) instead of
+// --backend spill streams the log through a SpillColumnStore (compressed
+// columnar chunk files + bounded LRU + sequential prefetch) instead of
 // materializing it; the profile output is byte-identical to the memory
-// backend, with or without chunk compression (--no-compress writes raw
-// WSPCHK01 chunk files). --stats appends the backend's IoStats: cache
-// behavior, prefetch hit rate, and per-column compression ratios.
+// backend. --stats appends the backend's IoStats: cache behavior, prefetch
+// hit rate, and per-column compression ratios. An unknown option or a
+// flag without its value is a usage error (exit 2).
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,7 +38,6 @@ analysis::WorkloadProfile analyze_spill(const std::string& trace_path,
                                         std::string spill_dir,
                                         std::size_t chunk_rows,
                                         std::size_t max_resident,
-                                        bool compress,
                                         analysis::IoStats* io_out) {
   trace::LogReader reader(trace_path);
   const trace::LogHeader& h = reader.header();
@@ -51,7 +50,6 @@ analysis::WorkloadProfile analyze_spill(const std::string& trace_path,
   opts.dir = spill_dir;
   opts.chunk_rows = chunk_rows;
   opts.max_resident_chunks = max_resident;
-  opts.compress = compress;
   analysis::SpillColumnStore store(opts);
 
   std::vector<trace::Record> records;
@@ -123,20 +121,21 @@ void print_io_stats(const analysis::IoStats& io) {
   }
 }
 
+int usage() {
+  std::cerr << "usage: wasp_analyze <trace.wtrc> [--phases] [--files N]"
+               " [--hist] [--jobs N] [--backend memory|spill]"
+               " [--spill-dir DIR] [--chunk-rows N]"
+               " [--max-resident-chunks N] [--stats]"
+               " [--telemetry FILE] [--trace-out FILE] [--report FILE]\n";
+  return 2;
+}
+
 int run_main(int argc, char** argv) {
   const auto wall_t0 = std::chrono::steady_clock::now();
-  if (argc < 2) {
-    std::cerr << "usage: wasp_analyze <trace.wtrc> [--phases] [--files N]"
-                 " [--hist] [--jobs N] [--backend memory|spill]"
-                 " [--spill-dir DIR] [--chunk-rows N]"
-                 " [--max-resident-chunks N] [--no-compress] [--stats]"
-                 " [--telemetry FILE] [--trace-out FILE] [--report FILE]\n";
-    return 2;
-  }
+  if (argc < 2) return usage();
   bool show_phases = false;
   bool show_hist = false;
   bool show_stats = false;
-  bool compress = true;
   std::size_t show_files = 0;
   std::string backend = "memory";
   std::string spill_dir;
@@ -153,8 +152,6 @@ int run_main(int argc, char** argv) {
       show_hist = true;
     } else if (arg == "--stats") {
       show_stats = true;
-    } else if (arg == "--no-compress") {
-      compress = false;
     } else if (arg == "--files" && i + 1 < argc) {
       show_files = static_cast<std::size_t>(util::cli_uint(arg, argv[++i]));
     } else if (arg == "--jobs" && i + 1 < argc) {
@@ -173,6 +170,9 @@ int run_main(int argc, char** argv) {
       spans_out = argv[++i];
     } else if (arg == "--report" && i + 1 < argc) {
       report_out = argv[++i];
+    } else {
+      std::cerr << "unknown option or missing value: " << arg << "\n";
+      return usage();
     }
   }
   toolcli::enable_telemetry(telemetry_out, spans_out, report_out);
@@ -185,7 +185,7 @@ int run_main(int argc, char** argv) {
   analysis::IoStats io;
   if (backend == "spill") {
     profile = analyze_spill(argv[1], spill_dir, chunk_rows, max_resident,
-                            compress, &io);
+                            &io);
   } else {
     const auto log = trace::read_log(argv[1]);
     std::cerr << "loaded " << log.records.size() << " records, "

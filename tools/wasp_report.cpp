@@ -1,30 +1,23 @@
 // wasp_report — read run artifacts back in: summarize a run manifest or
-// Chrome trace, diff two manifests with tolerance bands, or gate bench
-// results against a committed baseline.
+// Chrome trace, or diff two manifests with tolerance bands.
 //
 //   wasp_report summarize <manifest.json|trace.json> [--top N]
 //   wasp_report diff <a.manifest.json> <b.manifest.json>
 //               [--tolerance X] [--tolerance NAME=X] [--all]
-//   wasp_report check <BENCH_results.json> --baseline <baseline.json>
-//               [--tolerance X] [--advisory] [--out FILE]
 //
-// Exit codes: 0 ok; diff: 1 on a tolerance breach; check: 1 on a perf
-// regression (0 with --advisory), 3 on a schema/determinism violation
-// (hard even in advisory mode); 1 with one "wasp_report: <diagnostic>" line
-// on an unreadable or malformed input file (tools/cli_contract.hpp); 2 on
-// usage errors.
+// Exit codes: 0 ok; diff: 1 on a tolerance breach; 1 with one
+// "wasp_report: <diagnostic>" line on an unreadable or malformed input file
+// (tools/cli_contract.hpp); 2 on usage errors.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "cli_contract.hpp"
 #include "obs/report.hpp"
-#include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
@@ -39,9 +32,7 @@ int usage() {
       << "usage:\n"
          "  wasp_report summarize <manifest.json|trace.json> [--top N]\n"
          "  wasp_report diff <a.json> <b.json> [--tolerance X]"
-         " [--tolerance NAME=X] [--all]\n"
-         "  wasp_report check <results.json> --baseline <baseline.json>\n"
-         "              [--tolerance X] [--advisory] [--out FILE]\n";
+         " [--tolerance NAME=X] [--all]\n";
   return 2;
 }
 
@@ -185,60 +176,6 @@ int cmd_diff(const std::vector<std::string>& args) {
   return breaches == 0 ? 0 : 1;
 }
 
-int cmd_check(const std::vector<std::string>& args) {
-  std::string results_path;
-  std::string baseline_path;
-  std::string out_path;
-  rep::CheckOptions opts;
-  bool advisory = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--baseline" && i + 1 < args.size()) {
-      baseline_path = args[++i];
-    } else if (args[i] == "--tolerance" && i + 1 < args.size()) {
-      opts.tolerance = tolerance_arg(args[++i]);
-    } else if (args[i] == "--advisory") {
-      advisory = true;
-    } else if (args[i] == "--out" && i + 1 < args.size()) {
-      out_path = args[++i];
-    } else if (results_path.empty() && args[i][0] != '-') {
-      results_path = args[i];
-    } else {
-      return usage();
-    }
-  }
-  if (results_path.empty() || baseline_path.empty()) return usage();
-
-  const rep::BenchResults results = rep::load_bench_results(results_path);
-  const rep::BenchResults baseline = rep::load_bench_results(baseline_path);
-  const rep::Verdict verdict = rep::check_bench_results(results, baseline,
-                                                        opts);
-
-  for (const auto& c : verdict.checks) {
-    if (c.status == rep::Check::Status::kPass) continue;
-    std::cerr << (c.status == rep::Check::Status::kViolation ? "VIOLATION"
-                                                             : "REGRESSION")
-              << " " << c.entry << " " << c.metric << ": baseline "
-              << fmt(c.baseline) << ", current " << fmt(c.current) << " ("
-              << fmt_pct(c.rel) << ")\n";
-  }
-  for (const auto& n : verdict.notes) std::cerr << "note: " << n << "\n";
-  std::cerr << "verdict: " << verdict.verdict_string() << " ("
-            << verdict.checks.size() << " checks"
-            << (advisory ? ", advisory mode" : "") << ")\n";
-
-  if (out_path.empty()) {
-    verdict.write_json(std::cout, results_path, baseline_path, opts.tolerance,
-                       advisory);
-  } else {
-    std::ofstream os(out_path);
-    WASP_CHECK_MSG(os.good(), "cannot open verdict file: " + out_path);
-    verdict.write_json(os, results_path, baseline_path, opts.tolerance,
-                       advisory);
-    std::cerr << "verdict written to " << out_path << "\n";
-  }
-  return verdict.exit_code(advisory);
-}
-
 int run_main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
@@ -248,7 +185,6 @@ int run_main(int argc, char** argv) {
   }
   if (cmd == "summarize") return cmd_summarize(args);
   if (cmd == "diff") return cmd_diff(args);
-  if (cmd == "check") return cmd_check(args);
   return usage();
 }
 
