@@ -5,8 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <vector>
 
+#include "mpi/comm.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/link.hpp"
@@ -199,6 +203,50 @@ BENCHMARK(BM_EngineBarrierStorm)
     ->Args({512, 1})
     ->Args({4096, 0})
     ->Args({4096, 1});
+
+// mpi::Comm barriers in CosmoFlow's shape: one comm per node of 4 ranks,
+// every rank looping over its node barrier. Unlike BM_EngineBarrierStorm
+// this goes through Comm::barrier(): the waiter list, the last arriver's
+// tree-latency wait and the release at one instant.
+sim::Task<void> comm_barrier_rank(mpi::Comm& comm, int rounds) {
+  for (int r = 0; r < rounds; ++r) co_await comm.barrier();
+}
+
+void BM_CommBarrier(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  constexpr int kRanksPerNode = 4;
+  constexpr int kRounds = 64;
+  for (auto _ : state) {
+    sim::Engine eng;
+    std::vector<std::unique_ptr<mpi::Comm>> comms;
+    for (int n = 0; n < nodes; ++n) {
+      comms.push_back(std::make_unique<mpi::Comm>(
+          eng, std::vector<int>(kRanksPerNode, 0), mpi::NetParams{}));
+      for (int r = 0; r < kRanksPerNode; ++r) {
+        eng.spawn(comm_barrier_rank(*comms.back(), kRounds));
+      }
+    }
+    eng.run();
+    benchmark::DoNotOptimize(eng.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * nodes * kRanksPerNode *
+                          kRounds);
+}
+BENCHMARK(BM_CommBarrier)->Arg(8)->Arg(128);
+
+// One histogram sample on the calling thread's shard: the cost every
+// replayed op pays for its replay.op_ns.<kind> sample.
+void BM_HistogramAdd(benchmark::State& state) {
+  const obs::Histogram h =
+      obs::Registry::instance().histogram("bench.micro.histogram_add");
+  std::uint64_t v = 1;
+  for (auto _ : state) {
+    h.add(v);
+    v = v * 6364136223846793005ull + 1442695040888963407ull;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramAdd);
 
 // Raw frame-pool hit path: allocate/free one canonical-size frame.
 void BM_FramePoolAllocFree(benchmark::State& state) {

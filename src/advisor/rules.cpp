@@ -197,13 +197,10 @@ void rule_placement(const WorkloadCharacterization& c,
 /// alternate with compute (§IV-D.2 async I/O).
 void rule_async_checkpoint(const WorkloadCharacterization& c,
                            std::vector<Recommendation>& out) {
-  // Periodic small write phases: more than 3 phases, write-dominated.
-  int write_phases = 0;
-  for (const auto& ph : c.phases) {
-    (void)ph;
-    ++write_phases;
-  }
-  const bool periodic = write_phases >= 1 && c.workflow.num_apps == 1 &&
+  // Any single-app job with an I/O phase and no inter-app dependency: the
+  // characterization keeps one phase per app and no per-phase write share,
+  // so periodic write-dominated phases cannot be told apart here.
+  const bool periodic = !c.phases.empty() && c.workflow.num_apps == 1 &&
                         c.workflow.io_amount > 0 &&
                         !c.workflow.has_app_data_dependency;
   if (!periodic) return;

@@ -36,7 +36,7 @@ sim::Task<File> Posix::open(const std::string& path, OpenMode mode) {
   f.is_open = true;
 
   co_await faulted_meta(fs, fs::MetaOp::kOpen, f.id, trace::Op::kOpen,
-                        f.key(), "open " + path);
+                        f.key(), "open", path);
   co_return f;
 }
 
@@ -137,8 +137,8 @@ sim::Task<void> Posix::data_op(File& f, fs::Bytes offset, fs::Bytes size,
 
 sim::Task<void> Posix::faulted_meta(fs::FileSystemSim& fsys, fs::MetaOp mop,
                                     fs::FileId id, trace::Op top,
-                                    trace::FileKey key,
-                                    const std::string& what) {
+                                    trace::FileKey key, const char* verb,
+                                    std::string_view path) {
   sim::FaultChannel* fc = fsys.fault_channel();
   for (std::uint32_t attempt = 1;; ++attempt) {
     const sim::Time t0 = p_.now();
@@ -150,6 +150,8 @@ sim::Task<void> Posix::faulted_meta(fs::FileSystemSim& fsys, fs::MetaOp mop,
       const sim::RetryPolicy& rp = fc->retry();
       if (attempt >= rp.max_attempts) {
         fc->note_exhausted();
+        std::string what(verb);
+        if (!path.empty()) (what += ' ') += path;
         throw sim::FaultError(
             sim::FaultKind::kMetaError,
             what + " on " + fsys.mount() + " failed after " +
@@ -235,7 +237,7 @@ sim::Task<void> Posix::stat(const std::string& path) {
   trace::FileKey key;
   if (id) key = {p_.tracer().register_fs(fs), *id};
   co_await faulted_meta(fs, fs::MetaOp::kStat, id.value_or(fs::kInvalidFile),
-                        trace::Op::kStat, key, "stat " + path);
+                        trace::Op::kStat, key, "stat", path);
 }
 
 sim::Task<void> Posix::sync(File& f) {
@@ -252,7 +254,7 @@ sim::Task<void> Posix::unlink(const std::string& path) {
   const fs::Bytes size = ns.inode(*id).size;
   co_await faulted_meta(fs, fs::MetaOp::kUnlink, *id, trace::Op::kUnlink,
                         {p_.tracer().register_fs(fs), *id},
-                        "unlink " + path);
+                        "unlink", path);
   ns.unlink(path);
   fs.note_growth(p_.site(), -static_cast<std::int64_t>(size));
 }

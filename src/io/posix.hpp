@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fs/filesystem.hpp"
@@ -97,10 +98,12 @@ class Posix {
                           std::uint32_t count, DataOpSpec spec);
 
   /// Metadata op with the same fault/retry semantics; records both failed
-  /// attempts and the successful op under `top`/`key`.
+  /// attempts and the successful op under `top`/`key`. `verb` + `path`
+  /// name the op in the exhaustion message, built only when thrown.
   sim::Task<void> faulted_meta(fs::FileSystemSim& fsys, fs::MetaOp mop,
                                fs::FileId id, trace::Op top,
-                               trace::FileKey key, const std::string& what);
+                               trace::FileKey key, const char* verb,
+                               std::string_view path = {});
 
   runtime::Proc& p_;
   trace::Iface iface_;

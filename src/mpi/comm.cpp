@@ -46,52 +46,36 @@ const std::vector<int>& Comm::ranks_on_node(int node) const {
   return node_ranks_[static_cast<std::size_t>(node)];
 }
 
-sim::Task<void> Comm::barrier() {
-  const std::uint64_t gen = barrier_gen_;
-  if (++barrier_arrived_ == size()) {
-    barrier_arrived_ = 0;
-    ++barrier_gen_;
-    co_await sim::Delay(eng_, tree_latency());
-    auto it = barrier_events_.find(gen);
-    if (it != barrier_events_.end()) {
-      it->second->set();
-      barrier_events_.erase(it);
-    }
-    co_return;
+void Comm::release_barrier() {
+  const auto released = barrier_waiters_.begin() + (size() - 1);
+  for (auto it = barrier_waiters_.begin(); it != released; ++it) {
+    eng_.schedule(eng_.now(), *it);
   }
-  auto& ev = barrier_events_[gen];
-  if (!ev) ev = std::make_unique<sim::Event>(eng_);
-  co_await ev->wait();
+  barrier_waiters_.erase(barrier_waiters_.begin(), released);
 }
 
 sim::Task<void> Comm::bcast(int rank, int root, util::Bytes n) {
   WASP_CHECK(root >= 0 && root < size());
-  co_await barrier();
-  if (rank != root && n > 0) {
-    co_await sim::Delay(
-        eng_, tree_latency() +
-                  sim::seconds(static_cast<double>(n) / net_.bandwidth_bps));
-  }
+  return synced_transfer(rank == root ? 0 : n, 1);
 }
 
 sim::Task<void> Comm::gather(int rank, int root, util::Bytes per_rank) {
-  co_await barrier();
-  const util::Bytes moved =
-      rank == root ? per_rank * static_cast<util::Bytes>(size()) : per_rank;
-  if (moved > 0) {
-    co_await sim::Delay(
-        eng_, tree_latency() + sim::seconds(static_cast<double>(moved) /
-                                            net_.bandwidth_bps));
-  }
+  return synced_transfer(
+      rank == root ? per_rank * static_cast<util::Bytes>(size()) : per_rank,
+      1);
 }
 
 sim::Task<void> Comm::allreduce(util::Bytes n) {
+  // Recursive-doubling: log2(P) rounds, each moving n bytes.
+  return synced_transfer(n, ceil_log2(size()));
+}
+
+sim::Task<void> Comm::synced_transfer(util::Bytes n, int rounds) {
   co_await barrier();
   if (n > 0) {
-    // Recursive-doubling: log2(P) rounds, each moving n bytes.
-    const double sec = static_cast<double>(n) / net_.bandwidth_bps *
-                       ceil_log2(size());
-    co_await sim::Delay(eng_, tree_latency() + sim::seconds(sec));
+    co_await sim::Delay(
+        eng_, tree_latency() + sim::seconds(static_cast<double>(n) /
+                                            net_.bandwidth_bps * rounds));
   }
 }
 

@@ -9,7 +9,7 @@
 // preserved.
 #pragma once
 
-#include <cstdint>
+#include <coroutine>
 #include <deque>
 #include <map>
 #include <memory>
@@ -45,7 +45,29 @@ class Comm {
   bool is_node_leader(int rank) const { return node_leader(rank) == rank; }
 
   /// All ranks must call; completes when the last arrives (+ log2 latency).
-  sim::Task<void> barrier();
+  /// A plain awaiter, not a Task: earlier arrivers park on the comm's one
+  /// waiter list; the last waits tree_latency() (no suspension when 0),
+  /// then wakes them at now() in arrival order.
+  struct [[nodiscard]] BarrierAwaiter {
+    Comm& c;
+    bool last = false;
+    bool await_ready() noexcept {
+      last = ++c.barrier_arrived_ == c.size();
+      if (last) c.barrier_arrived_ = 0;
+      return last && c.tree_latency_ == 0;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (last) {
+        c.eng_.schedule_after(c.tree_latency_, h);
+      } else {
+        c.barrier_waiters_.push_back(h);
+      }
+    }
+    void await_resume() {
+      if (last) c.release_barrier();
+    }
+  };
+  BarrierAwaiter barrier() noexcept { return {*this}; }
 
   /// Synchronizing bcast of n bytes from root; all ranks call.
   sim::Task<void> bcast(int rank, int root, util::Bytes n);
@@ -81,6 +103,10 @@ class Comm {
     std::unique_ptr<sim::Event> arrival;
   };
   Mailbox& mailbox(int rank, int tag);
+  /// Wake the size() - 1 ranks parked by the barrier that just completed.
+  void release_barrier();
+  /// Barrier, then `rounds` tree steps moving n bytes each (none if n == 0).
+  sim::Task<void> synced_transfer(util::Bytes n, int rounds);
 
   sim::Engine& eng_;
   std::vector<int> rank_to_node_;
@@ -90,10 +116,10 @@ class Comm {
   int num_nodes_ = 0;
   NetParams net_;
 
-  // Barrier generations.
-  std::uint64_t barrier_gen_ = 0;
+  // Arrivals at the open barrier; parked ranks in arrival order (one that
+  // enters the next barrier early parks behind those still to be woken).
   int barrier_arrived_ = 0;
-  std::map<std::uint64_t, std::unique_ptr<sim::Event>> barrier_events_;
+  std::vector<std::coroutine_handle<>> barrier_waiters_;
 
   std::map<std::pair<int, int>, Mailbox> mailboxes_;
 };

@@ -4,10 +4,10 @@
 // Three metric kinds, all named by stable string keys:
 //
 //   Counter    monotonic u64, thread-local sharded: add() touches only the
-//              calling thread's shard slot (an uncontended relaxed atomic),
-//              and snapshot() sums live shards + the folded values of
-//              threads that already exited — hot paths never share a cache
-//              line, and a snapshot never blocks writers.
+//              calling thread's shard slot (its one writer, so a relaxed
+//              load + store), and snapshot() sums live shards + the folded
+//              values of threads that already exited — hot paths never
+//              share a cache line, and a snapshot never blocks writers.
 //   Gauge      last-write-wins i64 (plus a monotonic-max variant).
 //   Histogram  bounded power-of-two histogram of u64 samples: bucket b >= 1
 //              counts values in [2^(b-1), 2^b), bucket 0 counts zeros.
@@ -21,7 +21,7 @@
 //
 // Telemetry is strictly read-only with respect to simulation and analysis
 // results: nothing here feeds back into any computation. Counter/histogram
-// accumulation is always on (an uncontended relaxed add); everything that
+// accumulation is always on (a thread-owned load + store); everything that
 // must read a clock gates on Registry::timing_enabled(), so the disabled
 // cost is one branch. Compiling with -DWASP_OBS_OFF replaces the whole API
 // with no-op stubs (CounterCell keeps a real atomic so per-instance
@@ -36,6 +36,16 @@
 #include <vector>
 
 namespace wasp::obs {
+
+namespace detail {
+/// Increment a slot only the calling thread writes: readers still see an
+/// untorn value, so a locked fetch_add's full barrier would buy nothing.
+inline void owned_add(std::atomic<std::uint64_t>& slot,
+                      std::uint64_t n) noexcept {
+  slot.store(slot.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+}  // namespace detail
 
 /// Monotonic nanoseconds since the first call in this process (one shared
 /// epoch, so metric timings and span timestamps line up).
@@ -97,7 +107,7 @@ class Counter {
   Counter() = default;
   void add(std::uint64_t n = 1) const noexcept {
     if (slot_ == detail::kInvalidSlot) return;
-    detail::tls_slots()[slot_].fetch_add(n, std::memory_order_relaxed);
+    detail::owned_add(detail::tls_slots()[slot_], n);
   }
 
  private:
@@ -126,9 +136,8 @@ class Histogram {
   void add(std::uint64_t v) const noexcept {
     if (first_ == detail::kInvalidSlot) return;
     auto* s = detail::tls_slots();
-    s[first_].fetch_add(v, std::memory_order_relaxed);  // sum slot
-    s[first_ + 1 + detail::value_bucket(v)].fetch_add(
-        1, std::memory_order_relaxed);
+    detail::owned_add(s[first_], v);  // sum slot
+    detail::owned_add(s[first_ + 1 + detail::value_bucket(v)], 1);
   }
 
  private:
@@ -151,6 +160,9 @@ class CounterCell {
   void add(std::uint64_t n = 1) noexcept {
     v_.fetch_add(n, std::memory_order_relaxed);
   }
+  /// add() is safe from any number of writers (the spill store's cells);
+  /// add_owned() is the shard's load + store, for a single-writer cell.
+  void add_owned(std::uint64_t n = 1) noexcept { detail::owned_add(v_, n); }
   std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
@@ -238,6 +250,7 @@ class CounterCell {
   void add(std::uint64_t n = 1) noexcept {
     v_.fetch_add(n, std::memory_order_relaxed);
   }
+  void add_owned(std::uint64_t n = 1) noexcept { detail::owned_add(v_, n); }
   std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }

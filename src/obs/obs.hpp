@@ -4,7 +4,7 @@
 //
 // Instrumentation sites include this and use:
 //   static const auto c = obs::Registry::instance().counter("engine.events");
-//   c.add(n);                       // always on; uncontended relaxed add
+//   c.add(n);                       // always on; thread-owned load + store
 //   obs::TimerGuard t(ns_counter);  // no-op branch unless timing_enabled()
 //   WASP_OBS_SPAN("analyze.scan");  // no-op branch unless tracer enabled
 //

@@ -360,9 +360,12 @@ sim::Task<void> exec_ops(ExecCtx& c, const std::vector<Op>& ops) {
       case OpKind::kGpuCompute:
         co_await c.p.gpu_compute(jittered(o, c.rng));
         break;
-      case OpKind::kBarrier:
-        co_await c.p.barrier();
+      case OpKind::kBarrier: {
+        const sim::Time t0 = c.p.now();
+        co_await c.p.comm().barrier();
+        c.p.record(trace::Iface::kMpi, trace::Op::kBarrier, {}, 0, 0, 1, t0);
         break;
+      }
       case OpKind::kAllreduce: {
         mpi::Comm& comm = *c.st->comm_set(o.comm).comms.at(0);
         const util::Bytes n = eval_bytes(o.size, ec);

@@ -7,7 +7,6 @@
 
 #include "mpi/comm.hpp"
 #include "runtime/simulation.hpp"
-#include "sim/task.hpp"
 #include "trace/record.hpp"
 
 namespace wasp::runtime {
@@ -39,15 +38,31 @@ class Proc {
 
   mpi::Comm& comm();
 
-  /// Traced CPU compute span.
-  sim::Task<void> compute(sim::Time duration);
-  /// Traced GPU compute span.
-  sim::Task<void> gpu_compute(sim::Time duration);
-
-  /// Traced collective wrappers.
-  sim::Task<void> barrier();
-  sim::Task<void> bcast(int root, fs::Bytes n);
-  sim::Task<void> allreduce(fs::Bytes n);
+  /// Traced compute span, a plain awaiter rather than a Task: t0 is read
+  /// in await_ready, it waits `d` (no suspension when 0), and
+  /// await_resume writes the record.
+  struct [[nodiscard]] ComputeSpan {
+    Proc& p;
+    trace::Iface iface;
+    sim::Time d;
+    sim::Time t0 = 0;
+    bool await_ready() noexcept {
+      t0 = p.now();
+      return d == 0;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      p.engine().schedule_after(d, h);
+    }
+    void await_resume() {
+      p.record(iface, trace::Op::kCompute, {}, 0, 0, 1, t0);
+    }
+  };
+  ComputeSpan compute(sim::Time d) noexcept {
+    return {*this, trace::Iface::kCpu, d};
+  }
+  ComputeSpan gpu_compute(sim::Time d) noexcept {
+    return {*this, trace::Iface::kGpu, d};
+  }
 
   /// Append a fully-specified record stamped with this process's identity.
   /// No-op while this process is inside a Suppression scope. Inline: every
@@ -88,8 +103,6 @@ class Proc {
   };
 
  private:
-  sim::Task<void> timed_span(trace::Iface iface, sim::Time duration);
-
   Simulation& sim_;
   std::uint16_t app_;
   int rank_;

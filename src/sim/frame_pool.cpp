@@ -8,18 +8,12 @@
 namespace wasp::sim {
 namespace {
 
-struct PoolMetrics {
-  obs::Counter hits =
-      obs::Registry::instance().counter("engine.frame_pool.hits");
-  obs::Counter misses =
-      obs::Registry::instance().counter("engine.frame_pool.misses");
-  obs::Counter bytes =
+/// engine.frame_pool.bytes for blocks allocated after the thread's Cache
+/// (and so its cells) died.
+obs::Counter dead_cache_bytes() {
+  static const obs::Counter c =
       obs::Registry::instance().counter("engine.frame_pool.bytes");
-};
-
-const PoolMetrics& pool_metrics() {
-  static const PoolMetrics m;
-  return m;
+  return c;
 }
 
 std::size_t read_header(void* frame) noexcept {
@@ -47,13 +41,10 @@ struct Cache {
 
   Node* free_[FramePool::kBucketCount] = {};
   std::size_t count_[FramePool::kBucketCount] = {};
-  FramePool::ThreadStats stats;
+  FramePool::ThreadStats stats;  // hits, misses and bytes: the cells below
 
-  // Registry shards owned by the cache: allocate/deallocate run once per
-  // coroutine frame (millions of times per run), so the process-wide
-  // counters are fed through instance-local cells — one relaxed add on a
-  // thread-owned cacheline — instead of a registry TLS-slot call per op.
-  // The registry folds live cells into the totals at snapshot time.
+  // Registry cells only this thread writes, bumped once per coroutine
+  // frame (millions per run) with a plain load + store.
   obs::CounterCell hits{"engine.frame_pool.hits"};
   obs::CounterCell misses{"engine.frame_pool.misses"};
   obs::CounterCell bytes{"engine.frame_pool.bytes"};
@@ -86,9 +77,9 @@ void* FramePool::allocate(std::size_t bytes) {
   if (need > kMaxPooled) {
     if (!tls_cache_dead) {
       ++tls_cache.stats.oversize;
-      tls_cache.bytes.add(need);
+      tls_cache.bytes.add_owned(need);
     } else {
-      pool_metrics().bytes.add(need);
+      dead_cache_bytes().add(need);
     }
     return make_block(need);
   }
@@ -96,7 +87,7 @@ void* FramePool::allocate(std::size_t bytes) {
   // thread cache died, so any thread can safely recycle them.
   const std::size_t block = (need + (kBucketStep - 1)) & ~(kBucketStep - 1);
   if (tls_cache_dead) {
-    pool_metrics().bytes.add(block);
+    dead_cache_bytes().add(block);
     return make_block(block);
   }
   const std::size_t idx = block / kBucketStep - 1;
@@ -105,13 +96,11 @@ void* FramePool::allocate(std::size_t bytes) {
     c.free_[idx] = n->next;
     --c.count_[idx];
     c.stats.cached_bytes -= block;
-    ++c.stats.hits;
-    c.hits.add(1);
+    c.hits.add_owned();
     return n;  // header in front of the node still holds `block`
   }
-  ++c.stats.misses;
-  c.misses.add(1);
-  c.bytes.add(block);
+  c.misses.add_owned();
+  c.bytes.add_owned(block);
   return make_block(block);
 }
 
@@ -139,7 +128,12 @@ void FramePool::deallocate(void* p) noexcept {
 }
 
 FramePool::ThreadStats FramePool::thread_stats() noexcept {
-  return tls_cache_dead ? ThreadStats{} : tls_cache.stats;
+  if (tls_cache_dead) return {};
+  ThreadStats s = tls_cache.stats;
+  s.hits = tls_cache.hits.value();
+  s.misses = tls_cache.misses.value();
+  s.bytes = tls_cache.bytes.value();
+  return s;
 }
 
 void FramePool::trim_thread_cache() noexcept {

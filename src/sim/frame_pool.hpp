@@ -18,9 +18,10 @@
 //     beyond that (and above kMaxPooled) frees go straight to the heap.
 //
 // Pool traffic feeds engine.frame_pool.{hits,misses,bytes} in the obs
-// registry; thread_stats() exposes the calling thread's exact counts for
-// tests. Allocation never affects simulation ordering — determinism is
-// untouched by cache state.
+// registry through thread-owned cells; thread_stats() exposes the calling
+// thread's exact counts, its hits, misses and bytes read from those cells.
+// Allocation never affects simulation ordering — determinism is untouched
+// by cache state.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +48,7 @@ class FramePool {
   struct ThreadStats {
     std::uint64_t hits = 0;          ///< served from the thread cache
     std::uint64_t misses = 0;        ///< pooled size, fell through to new
+    std::uint64_t bytes = 0;         ///< block bytes taken from the heap
     std::uint64_t oversize = 0;      ///< larger than kMaxPooled
     std::uint64_t returns = 0;       ///< blocks parked back in the cache
     std::uint64_t evictions = 0;     ///< cache-full frees sent to the heap

@@ -6,11 +6,10 @@
 #include <coroutine>
 #include <exception>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
+#include "util/error.hpp"
 
 namespace wasp::sim {
 
@@ -28,10 +27,11 @@ struct Detached {
 };
 
 /// Counts outstanding children; wait() resumes when all have finished.
-/// The first child exception is rethrown from wait().
+/// The first child exception is rethrown from wait(). It parks its one
+/// waiter's handle, which the last child to finish schedules at now().
 class WaitGroup {
  public:
-  explicit WaitGroup(Engine& eng) : eng_(eng), done_(eng) {}
+  explicit WaitGroup(Engine& eng) : eng_(eng) {}
   WaitGroup(const WaitGroup&) = delete;
   WaitGroup& operator=(const WaitGroup&) = delete;
 
@@ -42,15 +42,19 @@ class WaitGroup {
     run_child(std::move(task));
   }
 
-  Task<void> wait() {
-    if (outstanding_ > 0) {
-      done_.reset();
-      co_await done_.wait();
-    }
-    if (error_) {
-      auto e = std::exchange(error_, nullptr);
-      std::rethrow_exception(e);
-    }
+  auto wait() noexcept {
+    struct [[nodiscard]] Awaiter {
+      WaitGroup& wg;
+      bool await_ready() const noexcept { return wg.outstanding_ == 0; }
+      void await_suspend(std::coroutine_handle<> h) {
+        WASP_CHECK_MSG(!wg.waiter_, "WaitGroup: concurrent wait()");
+        wg.waiter_ = h;
+      }
+      void await_resume() {
+        if (wg.error_) std::rethrow_exception(std::exchange(wg.error_, {}));
+      }
+    };
+    return Awaiter{*this};
   }
 
   std::size_t outstanding() const noexcept { return outstanding_; }
@@ -62,11 +66,13 @@ class WaitGroup {
     } catch (...) {
       if (!error_) error_ = std::current_exception();
     }
-    if (--outstanding_ == 0) done_.set();
+    if (--outstanding_ == 0 && waiter_) {
+      eng_.schedule(eng_.now(), std::exchange(waiter_, {}));
+    }
   }
 
   Engine& eng_;
-  Event done_;
+  std::coroutine_handle<> waiter_;
   std::size_t outstanding_ = 0;
   std::exception_ptr error_;
 };

@@ -131,6 +131,37 @@ TEST(RuleEngine, IntermediatesRuleNeedsAppDependency) {
   EXPECT_FALSE(has_rule(engine.evaluate(c), "intermediates-node-local"));
 }
 
+// The async-checkpoint rule fires on any single-app job with an I/O phase,
+// some I/O, no inter-app dependency and a node-local tier; each clause
+// alone turns it off. It cannot ask for periodic write-dominated phases:
+// the characterization keeps one phase per app and no per-phase write
+// share, so one phase and four read the same.
+TEST(RuleEngine, AsyncCheckpointConditionIsOneSingleAppIoPhase) {
+  const auto fires = [](const charz::WorkloadCharacterization& c) {
+    return has_rule(RuleEngine().evaluate(c), "async-checkpoint");
+  };
+  auto base = cosmoflow_like();
+  EXPECT_FALSE(fires(base));  // no I/O phase
+  base.phases.emplace_back();
+  EXPECT_TRUE(fires(base));
+  auto many = base;
+  many.phases.resize(4);
+  EXPECT_TRUE(fires(many));
+
+  auto c = base;
+  c.workflow.num_apps = 2;
+  EXPECT_FALSE(fires(c));
+  c = base;
+  c.workflow.io_amount = 0;
+  EXPECT_FALSE(fires(c));
+  c = base;
+  c.workflow.has_app_data_dependency = true;
+  EXPECT_FALSE(fires(c));
+  c = base;
+  c.node_local.clear();
+  EXPECT_FALSE(fires(c));
+}
+
 TEST(RuleEngine, StripeSizeMatchesDominantGranularity) {
   auto c = montage_like();
   c.high_level_io.data_granularity = 16 * util::kMiB;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/spill_store.hpp"
+#include "io/posix.hpp"
 #include "pattern/pattern.hpp"
 #include "pattern_golden.hpp"
 #include "profile_test_util.hpp"
@@ -204,6 +205,42 @@ TEST(FaultDeterminism, ExhaustedRetriesThrowDiagnosedFaultError) {
         << e.what();
   }
   EXPECT_GT(sim.faults()->stats().exhausted, 0u);
+}
+
+// A metadata op that exhausts its retries names the op and its path in
+// the error; the text is built only on that path, so pin it exactly.
+TEST(FaultDeterminism, ExhaustedMetadataRetriesNameTheOpAndPath) {
+  runtime::Simulation sim(test_cluster());
+  sim.install_faults(
+      sim::FaultPlan::parse("seed=1; gpfs: meta=1; retry: attempts=2"));
+  const auto app = sim.tracer().register_app("t");
+  std::vector<std::string> errors;
+  auto prog = [](runtime::Simulation& s, std::uint16_t a,
+                 std::vector<std::string>& out) -> sim::Task<void> {
+    runtime::Proc p(s, a, 0, 0);
+    io::Posix posix(p);
+    const std::string path = "/p/gpfs1/meta_probe";
+    for (int op = 0; op < 3; ++op) {
+      try {
+        if (op == 0) {
+          (void)co_await posix.open(path, io::OpenMode::kWrite);
+        } else if (op == 1) {
+          co_await posix.stat(path);
+        } else {
+          co_await posix.unlink(path);
+        }
+      } catch (const sim::FaultError& e) {
+        out.emplace_back(e.what());
+      }
+    }
+  };
+  sim.engine().spawn(prog(sim, app, errors));
+  sim.engine().run();
+  const std::string tail =
+      " /p/gpfs1/meta_probe on /p/gpfs1 failed after 2 attempts "
+      "(metadata error)";
+  EXPECT_EQ(errors, (std::vector<std::string>{"open" + tail, "stat" + tail,
+                                               "unlink" + tail}));
 }
 
 TEST(FaultDeterminism, CapacityClampSurfacesAsEnospc) {

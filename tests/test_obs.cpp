@@ -9,6 +9,7 @@
 // filter includes it (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +18,8 @@
 #include "analysis/analyzer.hpp"
 #include "analysis/spill_store.hpp"
 #include "obs/obs.hpp"
+#include "sim/engine.hpp"
+#include "sim/frame_pool.hpp"
 
 #ifndef WASP_OBS_OFF
 
@@ -177,6 +180,114 @@ TEST(ObsStress, CounterCellsAcrossThreads) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(snap().delta(before).value("test.obs.cell_stress"),
             kThreads * 50000u);
+}
+
+// Histogram shards are written with a plain load + store by their owning
+// thread. A reader snapshotting while the writers run must never see a
+// total go backwards, and after the join every sample must be there, in
+// the right bucket.
+TEST(ObsStress, HistogramSnapshotsStayMonotonicUnderWriters) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 50000;
+  const obs::Snapshot before = snap();
+  obs::Histogram h =
+      obs::Registry::instance().histogram("test.obs.stress_hist_mono");
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&h, &running] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) h.add(i & 0x3ff);
+      running.fetch_sub(1);
+    });
+  }
+  std::uint64_t last_count = 0;
+  std::uint64_t last_sum = 0;
+  int snapshots = 0;
+  bool monotonic = true;
+  do {
+    const obs::Snapshot d = snap().delta(before);
+    const obs::Snapshot::Entry* e = d.find("test.obs.stress_hist_mono");
+    const std::uint64_t count = e != nullptr ? e->count : 0;
+    const std::uint64_t sum = e != nullptr ? e->value : 0;
+    monotonic = monotonic && count >= last_count && sum >= last_sum;
+    last_count = count;
+    last_sum = sum;
+    ++snapshots;
+  } while (running.load() > 0);
+  for (auto& t : writers) t.join();
+  EXPECT_TRUE(monotonic);
+  EXPECT_GT(snapshots, 0);
+
+  // Per thread: i & 0x3ff cycles through 0..1023 kPerThread / 1024 times
+  // and then the first kPerThread % 1024 values once more.
+  std::vector<std::uint64_t> want_buckets(obs::detail::kHistBuckets, 0);
+  std::uint64_t want_sum = 0;
+  for (std::uint64_t i = 0; i < kPerThread; ++i) {
+    ++want_buckets[obs::detail::value_bucket(i & 0x3ff)];
+    want_sum += i & 0x3ff;
+  }
+  const obs::Snapshot d = snap().delta(before);
+  const obs::Snapshot::Entry* e = d.find("test.obs.stress_hist_mono");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->count, kThreads * kPerThread);
+  EXPECT_EQ(e->value, kThreads * want_sum);
+  EXPECT_GE(e->count, last_count);
+  for (const auto& [b, n] : e->buckets) {
+    EXPECT_EQ(n, kThreads * want_buckets[b]) << "bucket " << b;
+  }
+}
+
+// The frame pool's per-thread stats and its engine.frame_pool.* registry
+// metrics are one set of cells, so they agree exactly; a thread's counts
+// survive its exit.
+TEST(ObsFramePool, ThreadStatsMatchRegistry) {
+  const obs::Snapshot before = snap();
+  sim::FramePool::ThreadStats delta;
+  std::thread worker([&delta, &before] {
+    const auto s0 = sim::FramePool::thread_stats();
+    std::vector<void*> frames;
+    for (int round = 0; round < 3; ++round) {
+      for (int i = 0; i < 16; ++i) {
+        frames.push_back(sim::FramePool::allocate(100));
+      }
+      for (void* p : frames) sim::FramePool::deallocate(p);
+      frames.clear();
+    }
+    sim::FramePool::deallocate(
+        sim::FramePool::allocate(sim::FramePool::kMaxPooled));
+    {
+      sim::Engine eng;  // real Task frames through the same pool
+      for (int i = 0; i < 8; ++i) {
+        eng.spawn([](sim::Engine& e) -> sim::Task<void> {
+          co_await sim::Delay(e, 1);
+        }(eng));
+      }
+      eng.run();
+    }
+    const auto s1 = sim::FramePool::thread_stats();
+    delta.hits = s1.hits - s0.hits;
+    delta.misses = s1.misses - s0.misses;
+    delta.bytes = s1.bytes - s0.bytes;
+    delta.oversize = s1.oversize - s0.oversize;
+    const obs::Snapshot d = snap().delta(before);
+    EXPECT_EQ(d.value("engine.frame_pool.hits"), delta.hits);
+    EXPECT_EQ(d.value("engine.frame_pool.misses"), delta.misses);
+    EXPECT_EQ(d.value("engine.frame_pool.bytes"), delta.bytes);
+    sim::FramePool::trim_thread_cache();
+  });
+  worker.join();
+  // A fresh thread: the first 16 frames miss (128-byte blocks: 100 bytes +
+  // the 16-byte header, in 64-byte steps) and the next 32 hit.
+  EXPECT_GE(delta.hits, 32u);
+  EXPECT_GE(delta.misses, 16u);
+  EXPECT_EQ(delta.oversize, 1u);
+  EXPECT_GE(delta.bytes, 16u * 128u + sim::FramePool::kMaxPooled +
+                             sim::FramePool::kHeaderSize);
+  // The exited thread's cells retired into the registry unchanged.
+  const obs::Snapshot d = snap().delta(before);
+  EXPECT_EQ(d.value("engine.frame_pool.hits"), delta.hits);
+  EXPECT_EQ(d.value("engine.frame_pool.misses"), delta.misses);
+  EXPECT_EQ(d.value("engine.frame_pool.bytes"), delta.bytes);
 }
 
 TEST(SpanTrace, NestedSpansExportBalanced) {
