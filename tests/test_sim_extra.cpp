@@ -106,6 +106,7 @@ TEST(WaitGroupExtra, WaitWithNoChildrenReturnsImmediately) {
   eng.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(eng.now(), 0u);
+  EXPECT_EQ(eng.events_processed(), 1u);  // the spawn: wait() never parked
 }
 
 TEST(CommExtra, GatherChargesRootForAllRanks) {
